@@ -33,9 +33,10 @@ const char kUsage[] =
     "  <design>            design file (procedural description)\n"
     "  <params>            parameter file; notable directives:\n"
     "                        .top_cell:<name>      pick the output cell\n"
-    "                        .compact:xy           post-generation x/y compaction\n"
-    "                                              (alternating-axis schedule over the\n"
-    "                                              dual-simplex leaf LP with devex pricing)\n"
+    "                        .compact:xy           post-generation x/y compaction: the\n"
+    "                                              scan-line constraints and a longest-\n"
+    "                                              path solve per axis, alternating x/y\n"
+    "                                              rounds to a fixpoint or the round cap\n"
     "                        .snapshot_file:<f>    also write an RSGB snapshot (run_files)\n"
     "\n"
     "inputs (snapshot mode):\n"
@@ -59,14 +60,12 @@ const char kUsage[] =
     "                      without -o, a per-run summary is printed instead of CIF\n"
     "  --stats             print pipeline statistics to stderr\n"
     "  --compact-stats     print per-round compaction telemetry to stderr: extent\n"
-    "                      deltas, constraint reuse, solver pops, x/y warm starts,\n"
-    "                      shard counts, reconcile iterations, boundary churn\n"
-    "  --compact-shards <n>  solve each compaction pass on <n> concurrent shards\n"
-    "                      (0 = one per core; byte-identical to the serial solve)\n"
+    "                      deltas, constraint reuse, solver pops, x/y warm starts\n"
     "  --checkpoint-out <f>  rewrite an RSGC checkpoint of the compaction schedule\n"
     "                      after every completed round (resume with --checkpoint-in)\n"
     "  --checkpoint-in <f>   resume the compaction schedule from an RSGC checkpoint;\n"
     "                      the result is bit-for-bit the uninterrupted run's\n"
+    "                      (neither checkpoint flag combines with --params-sweep)\n"
     "  -h, --help          show this help\n";
 
 void print_compact_stats(const rsg::GeneratorResult& result) {
@@ -86,12 +85,8 @@ void print_compact_stats(const rsg::GeneratorResult& result) {
     std::fprintf(stderr, "                best-effort skips:%s%s\n",
                  c.x_infeasible ? " x" : "", c.y_infeasible ? " y" : "");
   }
-  bool sharded = false;
-  for (const RoundStats& r : c.round_stats) sharded = sharded || r.solve_shards > 0;
-  std::fprintf(stderr, "  %-6s %-6s %-6s %-12s %-8s %-9s %-6s %-8s", "round", "dW", "dH",
-               "constraints", "reused", "pops", "warm", "skipped");
-  if (sharded) std::fprintf(stderr, " %-7s %-6s %-8s %-6s", "shards", "recon", "boundary", "churn");
-  std::fprintf(stderr, " %-8s\n", "ms");
+  std::fprintf(stderr, "  %-6s %-6s %-6s %-12s %-8s %-9s %-6s %-8s %-8s\n", "round", "dW", "dH",
+               "constraints", "reused", "pops", "warm", "skipped", "ms");
   for (const RoundStats& r : c.round_stats) {
     const std::size_t discovered = r.partners_reswept + r.partners_reused;
     char reused[16];
@@ -105,15 +100,10 @@ void print_compact_stats(const rsg::GeneratorResult& result) {
     char skipped[8];
     std::snprintf(skipped, sizeof skipped, "%s%s", r.x_skipped ? "x" : "",
                   r.y_skipped ? "y" : "");
-    std::fprintf(stderr, "  %-6d %-6lld %-6lld %-12zu %-8s %-9zu %-6s %-8s", r.round,
+    std::fprintf(stderr, "  %-6d %-6lld %-6lld %-12zu %-8s %-9zu %-6s %-8s %-8.2f\n", r.round,
                  static_cast<long long>(r.width_delta), static_cast<long long>(r.height_delta),
                  r.constraints_emitted, reused, r.solve_pops, warm,
-                 skipped[0] != '\0' ? skipped : "-");
-    if (sharded) {
-      std::fprintf(stderr, " %-7d %-6d %-8zu %-6zu", r.solve_shards, r.reconcile_rounds,
-                   r.boundary_constraints, r.boundary_churn);
-    }
-    std::fprintf(stderr, " %-8.2f\n", r.wall_ms);
+                 skipped[0] != '\0' ? skipped : "-", r.wall_ms);
   }
 }
 
@@ -144,7 +134,6 @@ int main(int argc, char** argv) {
   std::string params_sweep;
   std::string checkpoint_in;
   std::string checkpoint_out;
-  int compact_shards = 1;
   bool stats = false;
   bool compact_stats = false;
   for (int i = 1; i < argc; ++i) {
@@ -176,8 +165,6 @@ int main(int argc, char** argv) {
       checkpoint_in = value("--checkpoint-in");
     } else if (std::strcmp(argv[i], "--checkpoint-out") == 0) {
       checkpoint_out = value("--checkpoint-out");
-    } else if (std::strcmp(argv[i], "--compact-shards") == 0) {
-      compact_shards = std::atoi(value("--compact-shards").c_str());
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     } else if (std::strcmp(argv[i], "--compact-stats") == 0) {
@@ -192,6 +179,13 @@ int main(int argc, char** argv) {
   if (snapshot_mode ? !inputs.empty() : inputs.size() != 3) return usage();
   if (!params_sweep.empty() && snapshot_mode) {
     std::cerr << "rsg_cli: --params-sweep needs generation mode, not --snapshot-in\n";
+    return 2;
+  }
+  if (!params_sweep.empty() && (!checkpoint_in.empty() || !checkpoint_out.empty())) {
+    // Every sweep run compacts its own layout; one checkpoint file cannot
+    // hold (or resume) all of them.
+    std::cerr << "rsg_cli: --params-sweep does not combine with --checkpoint-in or "
+                 "--checkpoint-out\n";
     return 2;
   }
 
@@ -244,8 +238,6 @@ int main(int argc, char** argv) {
       // Compaction options ride along even while enabled stays false —
       // the `.compact:xy` directive flips the switch inside the pipeline.
       rsg::CompactionRequest compaction;
-      compaction.flat.solve_shards = compact_shards;
-      compaction.flat.solve_threads = compact_shards;
       compaction.checkpoint_in = checkpoint_in;
       compaction.checkpoint_out = checkpoint_out;
       generator.set_compaction(compaction);

@@ -16,12 +16,8 @@ void ConstraintSystemBuilder::emit_batch(std::vector<CompactionBox>& boxes) {
       generate_constraints_naive(system_, boxes, rules_);
       return;
     case ConstraintGenerator::kScanline:
-      break;
-  }
-  if (options_.threads != 1 && boxes.size() >= options_.parallel_threshold) {
-    generate_constraints_parallel(system_, boxes, rules_, options_.threads);
-  } else {
-    generate_constraints(system_, boxes, rules_);
+      generate_constraints(system_, boxes, rules_);
+      return;
   }
 }
 

@@ -9,8 +9,8 @@
 //
 // emit_batch() assigns edge variables to boxes that lack them (leaf
 // compaction shares variables between instance copies) and runs the
-// selected generator — the visibility scan line (optionally parallelized
-// per layer), the pre-scaling reference, or the §6.4.1 naive baseline.
+// selected generator — the visibility scan line, the pre-scaling
+// reference, or the §6.4.1 naive baseline.
 // Batches accumulate into one system: flat compaction emits a single batch,
 // leaf compaction emits one per cell plus one per interface pair layout.
 //
@@ -37,13 +37,6 @@ enum class ConstraintGenerator {
 
 struct BuilderOptions {
   ConstraintGenerator generator = ConstraintGenerator::kScanline;
-  // Constraint-generation threads: 0 = one per hardware core, 1 = serial.
-  // The parallel path is byte-identical to the serial one, so this is a
-  // throughput knob, not a semantics knob.
-  int threads = 0;
-  // Batches below this box count always generate serially — thread spawn
-  // costs more than the sweep on small systems.
-  std::size_t parallel_threshold = 2048;
 };
 
 class ConstraintSystemBuilder {

@@ -12,7 +12,6 @@
 #include "compact/design_rule_table.hpp"
 #include "compact/rubber_band.hpp"
 #include "compact/scanline.hpp"
-#include "compact/sharded_solver.hpp"
 
 namespace rsg::compact {
 
@@ -22,16 +21,6 @@ struct FlatOptions {
   bool apply_rubber_band = false;
   bool naive_constraints = false;  // the Figure 6.5 overconstraining baseline
   bool mark_all_stretchable = false;
-  // Constraint-generation threads (see BuilderOptions::threads): 0 = one
-  // per hardware core, 1 = serial. Byte-identical either way.
-  int generation_threads = 0;
-  // Solve-phase sharding (compact/sharded_solver.hpp): partition the
-  // constraint graph into this many shards and solve them concurrently on
-  // `solve_threads` workers. 1 = the serial worklist solver; 0 = one shard
-  // per hardware core. Byte-identical either way (the least solution is
-  // unique); worklist solver only — the pass-based solver stays serial.
-  int solve_shards = 1;
-  int solve_threads = 0;  // <= 0: one per hardware core
 };
 
 struct FlatResult {
@@ -41,7 +30,6 @@ struct FlatResult {
   std::size_t constraint_count = 0;
   std::size_t variable_count = 0;
   SolveStats solve;
-  ShardedSolveStats sharded;  // populated when solve_shards != 1
   RubberBandStats rubber;
 };
 

@@ -139,10 +139,8 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   std::vector<CompactionBox> cboxes =
       normalized_compaction_boxes(boxes, options_, stretchable_, result.width_before);
 
-  const int threads = resolve_sweep_threads(options_.generation_threads);
   if (!state.initialized) {
-    const int bands = incremental_.bands > 0 ? incremental_.bands : threads;
-    state.cuts = band_cuts(cboxes, std::max(bands, 1));
+    state.cuts = band_cuts(cboxes, resolve_sweep_threads(incremental_.bands));
   }
   const std::size_t nb = state.cuts.size() - 1;
   const std::size_t total = static_cast<std::size_t>(kNumLayers) * nb;
@@ -166,7 +164,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   std::vector<std::size_t> order;  // computed lazily: an all-clean pass never sweeps
   if (!dirty.empty()) {
     order = sweep_order(cboxes);
-    sweep_shards(cboxes, order, rules_, state.cuts, dirty, state.shards, threads);
+    sweep_shards(cboxes, order, rules_, state.cuts, dirty, state.shards);
   }
   state.hashes = std::move(hashes);
   state.initialized = true;
@@ -258,21 +256,9 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     }
     if (feasible) seed = &state.warm;
   }
-  // A feasible warm seed beats sharding (the verified seed skips the solve
-  // almost entirely), so the sharded path runs only on cold rounds.
-  if (options_.solver == SolverKind::kWorklist && options_.solve_shards != 1 &&
-      seed == nullptr) {
-    const int shard_target =
-        options_.solve_shards > 0 ? options_.solve_shards : resolve_sweep_threads(0);
-    const ShardPlan plan = plan_shards(system, shard_target);
-    ShardedSolveOptions sharded_options;
-    sharded_options.threads = options_.solve_threads;
-    result.solve = solve_leftmost_sharded(system, plan, sharded_options, &result.sharded);
-  } else {
-    result.solve = options_.solver == SolverKind::kWorklist
-                       ? solve_leftmost_worklist(system, seed)
-                       : solve_leftmost(system, options_.edge_order);
-  }
+  result.solve = options_.solver == SolverKind::kWorklist
+                     ? solve_leftmost_worklist(system, seed)
+                     : solve_leftmost(system, options_.edge_order);
   // Snapshot the warm seed BEFORE the rubber band moves boxes off the
   // least solution: the next pass's warm start targets the least solve,
   // and a rubber-banded seed would fail verification every round.

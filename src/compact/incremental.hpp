@@ -46,8 +46,8 @@ class IncrementalDivergence : public Error {
 };
 
 struct IncrementalOptions {
-  // Y bands per layer; <= 0 follows FlatOptions::generation_threads
-  // (resolved to one per hardware core when that is 0).
+  // Y bands per layer; <= 0 means one per hardware core
+  // (resolve_sweep_threads).
   int bands = 0;
   // Escape hatch: re-sweep every shard every pass (state is still kept, so
   // warm starts remain active).

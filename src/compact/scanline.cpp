@@ -1,15 +1,15 @@
 #include "compact/scanline.hpp"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <queue>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "support/error.hpp"
 
@@ -446,8 +446,7 @@ struct PartnerList {
 // One profile layer's share of the Figure 6.7 sweep: walk the boxes in
 // sweep order, query this layer's profile for each box whose layer equals
 // or interacts with it, and insert the boxes of this layer. Each box lives
-// in exactly one layer's profile, so the per-layer sweeps are independent —
-// which is what lets generate_constraints_parallel run one per thread.
+// in exactly one layer's profile, so the per-layer sweeps are independent.
 template <class ProfileT>
 void discover_layer_partners(int li, const std::vector<CompactionBox>& boxes,
                              const std::vector<std::size_t>& order, const CompactionRules& rules,
@@ -547,35 +546,20 @@ std::vector<Coord> band_cuts(const std::vector<CompactionBox>& boxes, int bands)
 }
 
 int resolve_sweep_threads(int threads) {
-  if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
+  // Online cores: what the C++ runtime reports as hardware concurrency on
+  // glibc.
+  if (threads <= 0) threads = static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN));
   return std::max(threads, 1);
 }
 
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
-                  const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
-                  int threads) {
+                  const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards) {
   const std::size_t nb = cuts.size() - 1;
-  const auto run_one = [&](std::size_t s) {
-    const std::size_t li = s / nb;
+  for (const std::size_t s : shard_indices) {
     const std::size_t b = s % nb;
-    sweep_layer_band(static_cast<int>(li), cuts[b], cuts[b + 1], boxes, order, rules, shards[s]);
-  };
-  const int tasks = std::min<int>(threads, static_cast<int>(shard_indices.size()));
-  if (tasks > 1) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(tasks));
-    for (int t = 0; t < tasks; ++t) {
-      pending.push_back(std::async(std::launch::async, [&, t] {
-        for (std::size_t k = static_cast<std::size_t>(t); k < shard_indices.size();
-             k += static_cast<std::size_t>(tasks)) {
-          run_one(shard_indices[k]);
-        }
-      }));
-    }
-    for (std::future<void>& f : pending) f.get();
-  } else {
-    for (const std::size_t s : shard_indices) run_one(s);
+    sweep_layer_band(static_cast<int>(s / nb), cuts[b], cuts[b + 1], boxes, order, rules,
+                     shards[s]);
   }
 }
 
@@ -681,14 +665,13 @@ void emit_constraints_from_shards(ConstraintSystem& system,
 
 void generate_constraints_banded(ConstraintSystem& system,
                                  const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands, int threads) {
-  threads = resolve_sweep_threads(threads);
+                                 const CompactionRules& rules, int bands) {
   const std::vector<std::size_t> order = sweep_order(boxes);
   const std::vector<Coord> cuts = band_cuts(boxes, std::max(bands, 1));
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
   std::vector<std::size_t> all(shards.size());
   std::iota(all.begin(), all.end(), 0);
-  sweep_shards(boxes, order, rules, cuts, all, shards, threads);
+  sweep_shards(boxes, order, rules, cuts, all, shards);
   std::vector<const SweepShard*> views;
   views.reserve(shards.size());
   for (const SweepShard& s : shards) views.push_back(&s);
@@ -697,16 +680,7 @@ void generate_constraints_banded(ConstraintSystem& system,
 
 void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           const CompactionRules& rules) {
-  generate_constraints_banded(system, boxes, rules, /*bands=*/1, /*threads=*/1);
-}
-
-void generate_constraints_parallel(ConstraintSystem& system,
-                                   const std::vector<CompactionBox>& boxes,
-                                   const CompactionRules& rules, int threads) {
-  threads = resolve_sweep_threads(threads);
-  // Band count follows the thread count: layers * threads shards strided
-  // over `threads` tasks keeps every worker busy past the per-layer limit.
-  generate_constraints_banded(system, boxes, rules, /*bands=*/threads, threads);
+  generate_constraints_banded(system, boxes, rules, /*bands=*/1);
 }
 
 void generate_constraints_reference(ConstraintSystem& system,

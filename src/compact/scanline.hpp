@@ -48,25 +48,14 @@ void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& box
 void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           const CompactionRules& rules);
 
-// The parallel variant: the sweep is band-sharded (see below) with the
-// band count following `threads`, shards run as independent std::async
-// tasks, and the partner lists are merged back in sweep order — the
-// emitted constraint stream is byte-identical to generate_constraints.
-// `threads` <= 0 means one per hardware core; 1 runs the same code
-// serially.
-void generate_constraints_parallel(ConstraintSystem& system,
-                                   const std::vector<CompactionBox>& boxes,
-                                   const CompactionRules& rules, int threads = 0);
-
 // --- band-sharded sweeps -------------------------------------------------
 //
 // The visibility profile is pointwise in y: what a viewer sees at height y
 // depends only on boxes whose y extent covers y. Partitioning the y axis
 // into bands therefore decomposes each layer's sweep into independent
 // shards — queries and inserts clipped to the band — whose partner sets
-// union back to exactly the full-layer sweep's. That is both the
-// parallelism unit beyond per-layer sharding and the reuse unit of the
-// incremental x/y schedule (compact/incremental.hpp): a shard whose
+// union back to exactly the full-layer sweep's. That is the reuse unit of
+// the incremental x/y schedule (compact/incremental.hpp): a shard whose
 // participating boxes did not move re-contributes its stored partner list
 // without being re-swept.
 
@@ -83,8 +72,9 @@ struct SweepShard {
 // +-infinity sentinels so every window lands in a band.
 std::vector<Coord> band_cuts(const std::vector<CompactionBox>& boxes, int bands);
 
-// The thread-count convention every sweep path shares: <= 0 means one per
-// hardware core, and the result is always at least 1.
+// The incremental engine's default band count: `threads` <= 0 means one
+// band per hardware core, and the result is always at least 1. Sweeps run
+// serially; the name is kept for the benchmark metadata that reports it.
 int resolve_sweep_threads(int threads);
 
 // The sweep order every generator uses: left edge, then right edge, stable
@@ -106,13 +96,11 @@ void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<Compactio
                       SweepShard& out);
 
 // Runs the listed shard sweeps (layer-major indices: layer * bands + band
-// into `shards`) strided across `threads` std::async tasks. The banded
-// generator passes every index; the incremental engine passes only the
-// dirty ones.
+// into `shards`). The banded generator passes every index; the incremental
+// engine passes only the dirty ones.
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
-                  const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards,
-                  int threads);
+                  const std::vector<std::size_t>& shard_indices, std::vector<SweepShard>& shards);
 
 // Emits the width/anchor constraints, then the pair constraints merged
 // from the shard partner lists: per box in sweep order the partners are
@@ -125,12 +113,11 @@ void emit_constraints_from_shards(ConstraintSystem& system,
                                   const CompactionRules& rules,
                                   const std::vector<const SweepShard*>& shards);
 
-// The band-sharded generator: `bands` y bands per layer, shards run on
-// `threads` std::async tasks (<= 0 means one per hardware core). Byte-
-// identical to generate_constraints for every band count.
+// The band-sharded generator: `bands` y bands per layer. Byte-identical to
+// generate_constraints for every band count.
 void generate_constraints_banded(ConstraintSystem& system,
                                  const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands, int threads = 1);
+                                 const CompactionRules& rules, int bands);
 
 // The pre-scaling reference: all-pairs net discovery (O(n^2)) and a
 // linear-scan profile (O(n) per query/insert). Kept selectable so the

@@ -128,23 +128,15 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
         run_pass(/*y_axis=*/true, result.y_infeasible, stats.y_skipped);
     stats.height_delta = pre_y.height - extents_of(result.boxes).height;
 
-    const auto note_sharded = [&stats](const ShardedSolveStats& sharded) {
-      stats.solve_shards = std::max(stats.solve_shards, sharded.shards);
-      stats.reconcile_rounds += sharded.reconcile.iterations;
-      stats.boundary_constraints += sharded.boundary_constraints;
-      stats.boundary_churn += sharded.boundary_churn;
-    };
     if (x_pass) {
       stats.constraints_emitted += x_pass->constraint_count;
       stats.solve_pops += x_pass->solve.pops;
       stats.warm_x = x_pass->solve.warm_accepted;
-      note_sharded(x_pass->sharded);
     }
     if (y_pass) {
       stats.constraints_emitted += y_pass->constraint_count;
       stats.solve_pops += y_pass->solve.pops;
       stats.warm_y = y_pass->solve.warm_accepted;
-      note_sharded(y_pass->sharded);
     }
     if (engine) {
       if (x_pass || stats.x_skipped) {

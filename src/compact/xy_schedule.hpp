@@ -31,6 +31,17 @@ namespace rsg::compact {
 
 struct RoundStats;
 
+// The schedule's round loop against its hard cap: how many rounds ran,
+// what the cap was, and whether the loop reached its fixpoint or was cut
+// off.
+struct ConvergenceReport {
+  int iterations = 0;      // rounds actually run
+  int cap = 0;             // the configured round cap
+  bool converged = false;  // fixpoint reached (not just the cap)
+
+  bool capped() const { return !converged && iterations >= cap; }
+};
+
 // The complete schedule state after round `rounds_done` — everything a
 // later process needs to continue the loop as if it never stopped. The
 // geometry a resumed schedule produces is bit-for-bit the uninterrupted
@@ -102,13 +113,6 @@ struct RoundStats {
   std::size_t solve_pops = 0;           // worklist dequeues, both passes
   bool warm_x = false;                  // warm start verified exact for the axis
   bool warm_y = false;
-  // Sharded solving (FlatOptions::solve_shards != 1): shards planned (max
-  // over the two passes), reconciliation rounds, boundary constraints and
-  // boundary-violation churn (both summed over the two passes).
-  int solve_shards = 0;
-  int reconcile_rounds = 0;
-  std::size_t boundary_constraints = 0;
-  std::size_t boundary_churn = 0;
   double wall_ms = 0.0;
 };
 
@@ -122,8 +126,7 @@ struct XyScheduleResult {
   bool converged = false;   // a round left the geometry unchanged
   bool x_infeasible = false;  // best effort: some x pass was skipped
   bool y_infeasible = false;  // best effort: some y pass was skipped
-  // The schedule's round loop against its cap, in the same report shape
-  // as the sharded solver's reconciliation loop (shard_partition.hpp).
+  // The schedule's round loop against its cap.
   ConvergenceReport convergence;
   std::vector<RoundStats> round_stats;  // one entry per round run
 };

@@ -91,20 +91,16 @@ CheckpointWriteStats write_compaction_checkpoint(std::ostream& out,
     for (const compact::RoundStats& rs : checkpoint.round_stats) {
       CheckpointRoundRecord record{};
       record.round = rs.round;
-      record.solve_shards = rs.solve_shards;
       record.width_delta = rs.width_delta;
       record.height_delta = rs.height_delta;
       record.x_skipped = rs.x_skipped ? 1 : 0;
       record.y_skipped = rs.y_skipped ? 1 : 0;
       record.warm_x = rs.warm_x ? 1 : 0;
       record.warm_y = rs.warm_y ? 1 : 0;
-      record.reconcile_rounds = rs.reconcile_rounds;
       record.constraints_emitted = rs.constraints_emitted;
       record.partners_reswept = rs.partners_reswept;
       record.partners_reused = rs.partners_reused;
       record.solve_pops = rs.solve_pops;
-      record.boundary_constraints = rs.boundary_constraints;
-      record.boundary_churn = rs.boundary_churn;
       record.wall_ms = rs.wall_ms;
       append_record(rounds.bytes, record);
     }
@@ -276,20 +272,16 @@ compact::XyCheckpoint read_compaction_checkpoint(const void* data, std::size_t s
     std::memcpy(&rr, bytes + rounds->offset + i * sizeof(rr), sizeof(rr));
     compact::RoundStats rs;
     rs.round = rr.round;
-    rs.solve_shards = rr.solve_shards;
     rs.width_delta = rr.width_delta;
     rs.height_delta = rr.height_delta;
     rs.x_skipped = rr.x_skipped != 0;
     rs.y_skipped = rr.y_skipped != 0;
     rs.warm_x = rr.warm_x != 0;
     rs.warm_y = rr.warm_y != 0;
-    rs.reconcile_rounds = rr.reconcile_rounds;
     rs.constraints_emitted = rr.constraints_emitted;
     rs.partners_reswept = rr.partners_reswept;
     rs.partners_reused = rr.partners_reused;
     rs.solve_pops = rr.solve_pops;
-    rs.boundary_constraints = rr.boundary_constraints;
-    rs.boundary_churn = rr.boundary_churn;
     rs.wall_ms = rr.wall_ms;
     checkpoint.round_stats.push_back(rs);
   }

@@ -49,22 +49,25 @@ struct CheckpointMetaRecord {  // 40-byte stride
 };
 static_assert(sizeof(CheckpointMetaRecord) == 40);
 
+// The four `reserved*` slots held sharded-solver telemetry in files written
+// before that solver was removed. Writers store 0; readers ignore them, so
+// older files still resume.
 struct CheckpointRoundRecord {  // 88-byte stride, mirrors compact::RoundStats
   std::int32_t round;
-  std::int32_t solve_shards;
+  std::int32_t reserved_a;
   std::int64_t width_delta;
   std::int64_t height_delta;
   std::uint8_t x_skipped;
   std::uint8_t y_skipped;
   std::uint8_t warm_x;
   std::uint8_t warm_y;
-  std::int32_t reconcile_rounds;
+  std::int32_t reserved_b;
   std::uint64_t constraints_emitted;
   std::uint64_t partners_reswept;
   std::uint64_t partners_reused;
   std::uint64_t solve_pops;
-  std::uint64_t boundary_constraints;
-  std::uint64_t boundary_churn;
+  std::uint64_t reserved_c;
+  std::uint64_t reserved_d;
   double wall_ms;
 };
 static_assert(sizeof(CheckpointRoundRecord) == 88);

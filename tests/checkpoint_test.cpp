@@ -1,11 +1,13 @@
 // Checkpoint/restart for long compaction runs: the schedule's per-round
 // checkpoint sink, bit-for-bit resume from every round boundary, the RSGC
 // file format's round trip, its corruption/truncation/version defenses,
+// older files' nonzero reserved round slots,
 // and the generator-level --checkpoint-out → --checkpoint-in loop.
 #include "io/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -43,10 +45,6 @@ void expect_rounds_equal(const std::vector<RoundStats>& a, const std::vector<Rou
     EXPECT_EQ(a[i].solve_pops, b[i].solve_pops);
     EXPECT_EQ(a[i].warm_x, b[i].warm_x);
     EXPECT_EQ(a[i].warm_y, b[i].warm_y);
-    EXPECT_EQ(a[i].solve_shards, b[i].solve_shards);
-    EXPECT_EQ(a[i].reconcile_rounds, b[i].reconcile_rounds);
-    EXPECT_EQ(a[i].boundary_constraints, b[i].boundary_constraints);
-    EXPECT_EQ(a[i].boundary_churn, b[i].boundary_churn);
   }
 }
 
@@ -199,6 +197,73 @@ TEST(Checkpoint, RejectsCorruptionTruncationAndVersionSkew) {
     const XyCheckpoint restored = read_compaction_checkpoint(ok.data(), ok.size());
     expect_checkpoints_equal(last, restored);
   }
+}
+
+TEST(Checkpoint, NonzeroReservedRoundSlotsStillResumeBitForBit) {
+  // Files written while the sharded solver existed carry shard telemetry in
+  // the round record's four reserved slots. The reader must ignore them:
+  // such a file resumes exactly like one with zeroed slots.
+  const SynthField field = make_random_field(29, 30);
+  XyScheduleOptions schedule;
+  schedule.max_rounds = 5;
+  std::vector<XyCheckpoint> checkpoints;
+  schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { checkpoints.push_back(ck); };
+  const XyScheduleResult full = compact_flat_schedule(
+      field.boxes, CompactionRules::mosis(), {}, schedule, field.stretchable);
+  ASSERT_GE(checkpoints.size(), 2u);
+  const XyCheckpoint& first = checkpoints.front();
+
+  std::string bytes = checkpoint_bytes(first);
+  SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<SnapshotSection> sections(header.section_count);
+  std::memcpy(sections.data(), bytes.data() + header.section_table_offset,
+              sections.size() * sizeof(SnapshotSection));
+  bool patched = false;
+  for (SnapshotSection& section : sections) {
+    if (section.type != kSectionCheckpointRounds) continue;
+    ASSERT_EQ(section.count, first.round_stats.size());
+    for (std::uint32_t i = 0; i < section.count; ++i) {
+      char* record = &bytes[section.offset + i * sizeof(CheckpointRoundRecord)];
+      const std::int32_t shards = 4;
+      const std::int32_t reconcile = 3;
+      const std::uint64_t boundary = 117;
+      const std::uint64_t churn = 9;
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved_a), &shards, sizeof(shards));
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved_b), &reconcile,
+                  sizeof(reconcile));
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved_c), &boundary,
+                  sizeof(boundary));
+      std::memcpy(record + offsetof(CheckpointRoundRecord, reserved_d), &churn, sizeof(churn));
+    }
+    section.crc32 = snapshot_crc32(bytes.data() + section.offset, section.size);
+    patched = true;
+  }
+  ASSERT_TRUE(patched);
+  std::memcpy(&bytes[header.section_table_offset], sections.data(),
+              sections.size() * sizeof(SnapshotSection));
+  header.section_table_crc32 =
+      snapshot_crc32(sections.data(), sections.size() * sizeof(SnapshotSection));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  header.header_crc32 = snapshot_crc32(bytes.data(), 60);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  ASSERT_NE(bytes, checkpoint_bytes(first));
+
+  const XyCheckpoint restored = read_compaction_checkpoint(bytes.data(), bytes.size());
+  expect_checkpoints_equal(first, restored);
+  // Re-serializing writes the slots back as zero.
+  EXPECT_EQ(checkpoint_bytes(restored), checkpoint_bytes(first));
+
+  XyScheduleOptions resume_options;
+  resume_options.max_rounds = 5;
+  resume_options.resume = &restored;
+  const XyScheduleResult resumed = compact_flat_schedule(
+      field.boxes, CompactionRules::mosis(), {}, resume_options, field.stretchable);
+  ASSERT_EQ(resumed.boxes, full.boxes);
+  EXPECT_EQ(resumed.rounds, full.rounds);
+  EXPECT_EQ(resumed.converged, full.converged);
+  EXPECT_EQ(resumed.width_after, full.width_after);
+  EXPECT_EQ(resumed.height_after, full.height_after);
 }
 
 TEST(Checkpoint, GeneratorCheckpointOutThenInReproducesTheRun) {

@@ -90,64 +90,27 @@ TEST(CompactScaling, SweepGeneratorMatchesReferenceByteForByte) {
   }
 }
 
-TEST(CompactScaling, ParallelGenerationMatchesSerialByteForByte) {
-  // The per-layer parallel sweep merges partner lists in sweep order, so
-  // the emitted constraint stream must be byte-identical to the serial
-  // generator — on the property fields and the benchmark grid.
-  std::uint32_t seed = 0;
-  std::vector<SynthField> fields = property_fields();
-  fields.push_back(make_grid_field_of_size(1000));
-  for (const SynthField& field : fields) {
-    ConstraintSystem parallel;
-    const std::vector<CompactionBox> parallel_boxes = to_compaction_boxes(field, parallel);
-    generate_constraints_parallel(parallel, parallel_boxes, CompactionRules::mosis(),
-                                  /*threads=*/4);
-
-    ConstraintSystem serial;
-    const std::vector<CompactionBox> serial_boxes = to_compaction_boxes(field, serial);
-    generate_constraints(serial, serial_boxes, CompactionRules::mosis());
-
-    expect_identical_systems(parallel, serial, seed);
-    ++seed;
-  }
-}
-
 TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
   // The band-sharded sweep (the incremental engine's reuse unit) must emit
   // the byte-identical constraint stream for ANY band partition: queries
   // and profile extents are clipped to each band, and the per-box merge
-  // unions the shards back to the full-layer partner sets.
+  // unions the shards back to the full-layer partner sets — on the property
+  // fields and the benchmark grid.
   std::uint32_t seed = 0;
-  for (const SynthField& field : property_fields()) {
+  std::vector<SynthField> fields = property_fields();
+  fields.push_back(make_grid_field_of_size(1000));
+  for (const SynthField& field : fields) {
     ConstraintSystem serial;
     const std::vector<CompactionBox> serial_boxes = to_compaction_boxes(field, serial);
     generate_constraints(serial, serial_boxes, CompactionRules::mosis());
     for (const int bands : {2, 5, 16}) {
       ConstraintSystem banded;
       const std::vector<CompactionBox> banded_boxes = to_compaction_boxes(field, banded);
-      generate_constraints_banded(banded, banded_boxes, CompactionRules::mosis(), bands,
-                                  /*threads=*/3);
+      generate_constraints_banded(banded, banded_boxes, CompactionRules::mosis(), bands);
       expect_identical_systems(banded, serial, seed);
     }
     ++seed;
   }
-}
-
-TEST(CompactScaling, BuilderThreadsAreAThroughputKnobOnly) {
-  // compact_flat with generation_threads forced past the parallel threshold
-  // must reproduce the serial result exactly, rubber band included.
-  const SynthField field = make_grid_field_of_size(4000);
-  FlatOptions serial_options;
-  serial_options.generation_threads = 1;
-  const FlatResult serial =
-      compact_flat(field.boxes, CompactionRules::mosis(), serial_options, field.stretchable);
-  FlatOptions parallel_options;
-  parallel_options.generation_threads = 4;
-  const FlatResult parallel =
-      compact_flat(field.boxes, CompactionRules::mosis(), parallel_options, field.stretchable);
-  EXPECT_EQ(serial.boxes, parallel.boxes);
-  EXPECT_EQ(serial.width_after, parallel.width_after);
-  EXPECT_EQ(serial.constraint_count, parallel.constraint_count);
 }
 
 TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
