@@ -6,8 +6,12 @@
 //             plus the pass-based Bellman–Ford solver
 //   scanline  the visibility scan-line generator (sweep net finder +
 //             ordered-segment profile) plus the pass-based solver
-//   worklist  the scan-line generator plus the SPFA-style worklist solver
+//   worklist  compact_flat as the product runs it: the scan-line generator
+//             plus the SPFA-style worklist solver
 //
+// compact_flat always runs the worklist solver, so the naive and scanline
+// rows assemble their pass the same way (normalize, build, solve, read the
+// width back) from ConstraintSystemBuilder and solve_leftmost directly.
 // The worklist row also runs a 1M-box field, the top of the trajectory.
 //
 // CI runs the 1k/10k sizes via scripts/bench_smoke.sh and uploads the JSON
@@ -18,11 +22,15 @@
 #include <chrono>
 #include <cstdio>
 
+#include <algorithm>
+#include <vector>
+
 #include "compact/flat_compactor.hpp"
 #include "compact/synth_design.hpp"
 
 namespace {
 
+using namespace rsg;
 using namespace rsg::compact;
 
 // Lazy per size: a filtered run (CI smoke) must not pay for the fields it
@@ -44,25 +52,50 @@ const SynthField& field_of_size(int boxes) {
   return field;
 }
 
-FlatOptions options_for(const char* mode) {
-  FlatOptions options;
-  if (mode[0] == 'n') {  // naive
-    options.naive_constraints = true;
-    options.solver = SolverKind::kPassBased;
-  } else if (mode[0] == 's') {  // scanline
-    options.solver = SolverKind::kPassBased;
-  } else {  // worklist
-    options.solver = SolverKind::kWorklist;
+struct PassResult {
+  std::size_t constraint_count = 0;
+  Coord width_after = 0;
+};
+
+// One x pass of the configuration `mode` names.
+PassResult compact_once(const SynthField& field, const char* mode) {
+  if (mode[0] == 'w') {  // worklist
+    const FlatResult result =
+        compact_flat(field.boxes, CompactionRules::mosis(), {}, field.stretchable);
+    return {result.constraint_count, result.width_after};
   }
-  return options;
+  Coord width_before = 0;
+  std::vector<CompactionBox> boxes =
+      normalized_compaction_boxes(field.boxes, field.stretchable, width_before);
+  BuilderOptions options;
+  options.generator =
+      mode[0] == 'n' ? ConstraintGenerator::kNaive : ConstraintGenerator::kScanline;
+  ConstraintSystemBuilder builder(CompactionRules::mosis(), options);
+  builder.emit_batch(boxes);
+  ConstraintSystem& system = builder.system();
+  solve_leftmost(system, EdgeOrder::kSorted);
+  // Read the geometry back as compact_flat does, so every row pays the
+  // same output cost.
+  PassResult result;
+  result.constraint_count = system.constraint_count();
+  std::vector<LayerBox> out;
+  out.reserve(boxes.size());
+  for (const CompactionBox& cb : boxes) {
+    const Coord left = system.values[static_cast<std::size_t>(cb.left_var)];
+    const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
+    out.push_back(
+        {cb.geometry.layer, Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y)});
+    result.width_after = std::max(result.width_after, right);
+  }
+  benchmark::DoNotOptimize(out.data());
+  return result;
 }
 
 void run_mode(benchmark::State& state, const char* mode) {
   const SynthField& field = field_of_size(static_cast<int>(state.range(0)));
-  const FlatOptions options = options_for(mode);
-  FlatResult result;
+  PassResult result;
   for (auto _ : state) {
-    result = compact_flat(field.boxes, CompactionRules::mosis(), options, field.stretchable);
+    result = compact_once(field, mode);
     benchmark::DoNotOptimize(result.width_after);
   }
   state.counters["boxes"] = static_cast<double>(field.boxes.size());
@@ -85,10 +118,8 @@ BENCHMARK(BM_CompactWorklist)
 
 double time_once(int boxes, const char* mode) {
   const SynthField& field = field_of_size(boxes);
-  const FlatOptions options = options_for(mode);
   const auto start = std::chrono::steady_clock::now();
-  const FlatResult result =
-      compact_flat(field.boxes, CompactionRules::mosis(), options, field.stretchable);
+  const PassResult result = compact_once(field, mode);
   const auto stop = std::chrono::steady_clock::now();
   benchmark::DoNotOptimize(result.width_after);
   return std::chrono::duration<double, std::milli>(stop - start).count();

@@ -1,27 +1,22 @@
-// The §6.1–§6.3 leaf/LP path at scale: dense tableau vs sparse revised
-// simplex (primal and dual) on growing synthetic leaf libraries.
+// The §6.1–§6.3 leaf/LP path at scale: solve_lp on growing synthetic leaf
+// libraries.
 //
-// PR 2 scaled the flat compactor; this sweep does the same falsifiable
-// measurement for the LP-backed leaf compactor. One LeafLpModel is built
-// per library size (make_leaf_library chains every cell to itself and its
-// successor, so the LP couples the whole library), then each engine solves
-// the identical LpProblem:
+// One LeafLpModel is built per library size (make_leaf_library chains every
+// cell to itself and its successor, so the LP couples the whole library),
+// then solve_lp solves it: the bounded-variable dual simplex from the
+// all-slack basis over a CSC matrix and a Markowitz LU basis with
+// Forrest–Tomlin updates. The compaction objective is componentwise
+// nonnegative, so the dual never runs a phase 1 — which is ~98 % of the
+// pivots its primal fallback (detail::solve_lp_primal) would spend on these
+// libraries.
 //
-//   dense    the two-phase tableau of simplex.cpp — O(m * cols) per pivot
-//   sparse   the CSC + eta-file revised simplex of sparse_simplex.cpp —
-//            O(m + nnz) per pivot (Dantzig and devex pricing)
-//   dual     the same machinery driven by the dual simplex from the
-//            all-slack basis: the compaction objective is componentwise
-//            nonnegative, so phase 1 — ~98 % of the primal pivot count on
-//            these libraries — never runs at all
-//
-// The acceptance bars: sparse >= 10x dense at the largest swept size with
-// matching objectives (PR 3), and the dual engine at ZERO phase-1 pivots
-// with >= 2x total-pivot reduction vs primal Dantzig at the 32-cell
-// library, bit-identical objectives (this PR; sparse_simplex_test pins
-// both). CI runs the small sizes via scripts/bench_smoke.sh and uploads
-// BENCH_leaf_scaling.json; run the binary with no filter for the full
-// sweep.
+// The acceptance bars: the dual at ZERO phase-1 pivots and zero fallbacks,
+// with >= 2x fewer total pivots than the primal fallback at the 32-cell
+// library, objectives bit-identical to the dense test oracle
+// (sparse_simplex_test pins both); and warm-started schedule re-solves at
+// <= half the post-first-round pivots of cold ones. CI runs the small sizes
+// via scripts/bench_smoke.sh and uploads BENCH_leaf_scaling.json; run the
+// binary with no filter for the full sweep and the primal-vs-dual table.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -31,7 +26,6 @@
 
 #include "compact/leaf_compactor.hpp"
 #include "compact/synth_design.hpp"
-#include "compact/xy_schedule.hpp"
 
 namespace {
 
@@ -53,12 +47,11 @@ const LeafLpModel& model_for(int num_cells) {
   return it->second;
 }
 
-void run_method(benchmark::State& state, LpMethod method,
-                LpPricing pricing = LpPricing::kDantzig) {
+void BM_LeafSolveSparseDual(benchmark::State& state) {
   const LeafLpModel& model = model_for(static_cast<int>(state.range(0)));
   LpSolution solution;
   for (auto _ : state) {
-    solution = solve_lp(model.lp, method, pricing);
+    solution = solve_lp(model.lp);
     benchmark::DoNotOptimize(solution.objective);
   }
   state.counters["rows"] = static_cast<double>(model.lp.constraints.size());
@@ -81,15 +74,6 @@ void run_method(benchmark::State& state, LpMethod method,
                 static_cast<double>(solution.stats.ftran_rows)
           : 0.0;
   state.counters["objective"] = solution.objective;
-}
-
-void BM_LeafSolveDense(benchmark::State& state) { run_method(state, LpMethod::kDenseTableau); }
-void BM_LeafSolveSparse(benchmark::State& state) { run_method(state, LpMethod::kSparseRevised); }
-void BM_LeafSolveSparseDevex(benchmark::State& state) {
-  run_method(state, LpMethod::kSparseRevised, LpPricing::kDevex);
-}
-void BM_LeafSolveSparseDual(benchmark::State& state) {
-  run_method(state, LpMethod::kSparseDual);
 }
 
 // The warm-start acceptance workload: the full leaf x/y schedule, fixed
@@ -134,16 +118,8 @@ void run_schedule(benchmark::State& state, bool warm_start) {
 void BM_LeafScheduleWarm(benchmark::State& state) { run_schedule(state, /*warm_start=*/true); }
 void BM_LeafScheduleCold(benchmark::State& state) { run_schedule(state, /*warm_start=*/false); }
 
-// The dense baseline stays at its historical ceiling (a 16-cell dense
-// solve is already seconds); the sparse engines sweep on to 256 cells,
-// where the hyper-sparse solves and the LU factor sizes either pay off in
-// the artifact or visibly fail to.
-BENCHMARK(BM_LeafSolveDense)->RangeMultiplier(2)->Range(2, 32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LeafSolveSparse)->RangeMultiplier(2)->Range(2, 256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LeafSolveSparseDevex)
-    ->RangeMultiplier(2)
-    ->Range(2, 256)
-    ->Unit(benchmark::kMillisecond);
+// The sweep runs on to 256 cells, where the hyper-sparse solves and the LU
+// factor sizes either pay off in the artifact or visibly fail to.
 BENCHMARK(BM_LeafSolveSparseDual)
     ->RangeMultiplier(2)
     ->Range(2, 256)
@@ -152,51 +128,44 @@ BENCHMARK(BM_LeafScheduleWarm)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeafScheduleCold)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void print_scaling_table() {
-  std::printf(
-      "== leaf/LP compaction at scale (§6.1–§6.3): dense vs sparse vs dual simplex ==\n");
-  std::printf("%-7s %-7s %-7s %-11s %-11s %-11s %-9s %-12s %-12s %-10s %-9s\n", "cells", "rows",
-              "cols", "dense(ms)", "sparse(ms)", "dual(ms)", "speedup", "primal piv",
-              "dual piv", "piv ratio", "obj match");
+  std::printf("== leaf/LP compaction at scale (§6.1–§6.3): solve_lp vs primal fallback ==\n");
+  std::printf("%-7s %-7s %-7s %-11s %-11s %-12s %-12s %-10s %-9s\n", "cells", "rows", "cols",
+              "primal(ms)", "dual(ms)", "primal piv", "dual piv", "piv ratio", "obj match");
   using Clock = std::chrono::steady_clock;
   for (const int cells : {2, 4, 8, 16, 32}) {
     const LeafLpModel& model = model_for(cells);
     const auto t0 = Clock::now();
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
+    const LpSolution primal = detail::solve_lp_primal(model.lp);
     const auto t1 = Clock::now();
-    const LpSolution sparse = solve_lp(model.lp, LpMethod::kSparseRevised);
+    const LpSolution dual = solve_lp(model.lp);
     const auto t2 = Clock::now();
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
-    const auto t3 = Clock::now();
-    const double dense_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double sparse_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    const double dual_ms = std::chrono::duration<double, std::milli>(t3 - t2).count();
-    const bool match = dual.objective == dense.objective &&
-                       std::abs(dense.objective - sparse.objective) <=
-                           1e-6 * (1.0 + std::abs(dense.objective));
+    const double primal_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const double dual_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
+    const bool match = std::abs(dual.objective - primal.objective) <=
+                       1e-6 * (1.0 + std::abs(primal.objective));
     char primal_piv[32];
-    std::snprintf(primal_piv, sizeof primal_piv, "%d(p1 %d)", sparse.stats.iterations,
-                  sparse.stats.phase1_pivots);
+    std::snprintf(primal_piv, sizeof primal_piv, "%d(p1 %d)", primal.stats.iterations,
+                  primal.stats.phase1_pivots);
     char dual_piv[32];
     std::snprintf(dual_piv, sizeof dual_piv, "%d(p1 %d)", dual.stats.iterations,
                   dual.stats.phase1_pivots);
-    std::printf("%-7d %-7zu %-7d %-11.2f %-11.2f %-11.2f %-9.1f %-12s %-12s %-10.2f %-9s\n",
-                cells, model.lp.constraints.size(), model.lp.num_vars, dense_ms, sparse_ms,
-                dual_ms, dense_ms / sparse_ms, primal_piv, dual_piv,
-                static_cast<double>(sparse.stats.iterations) /
+    std::printf("%-7d %-7zu %-7d %-11.2f %-11.2f %-12s %-12s %-10.2f %-9s\n", cells,
+                model.lp.constraints.size(), model.lp.num_vars, primal_ms, dual_ms, primal_piv,
+                dual_piv,
+                static_cast<double>(primal.stats.iterations) /
                     static_cast<double>(dual.stats.iterations),
                 match ? "yes" : "NO");
   }
-  std::printf("speedup = dense / sparse on the identical LpProblem. Acceptance bars:\n");
-  std::printf(">= 10x speedup at the largest size with matching objectives, and the dual\n");
-  std::printf("engine at ZERO phase-1 pivots with piv ratio (primal/dual) >= 2 there.\n\n");
+  std::printf("Acceptance bar: solve_lp (the dual) at ZERO phase-1 pivots with piv ratio\n");
+  std::printf("(primal/dual) >= 2 at the largest size, objectives matching.\n\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The summary table runs every size unfiltered (the dense 16-cell solve
-  // is seconds), so only print it for a bare invocation — filtered CI smoke
-  // runs and --benchmark_list_tests skip straight to the harness.
+  // The summary table runs every size unfiltered, so only print it for a
+  // bare invocation — filtered CI smoke runs and --benchmark_list_tests
+  // skip straight to the harness.
   if (argc == 1) print_scaling_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -63,12 +63,12 @@ run_bench bench_orientations "$OUT"
 # filter locally for the full 1k/10k/50k trajectory and the 1M worklist
 # point.
 run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
-# The dense-vs-sparse LP sweep at the CI-sized library counts (the full
-# 2..256-cell trajectory with the >= 10x headline needs a local run), plus
-# the warm-vs-cold leaf-schedule pair at 8 and 32 cells — the 32-cell pair
+# The solve_lp sweep at the CI-sized library counts (the full 2..256-cell
+# trajectory and the primal-vs-dual table need a local run), plus the
+# warm-vs-cold leaf-schedule pair at 8 and 32 cells — the 32-cell pair
 # feeds the warm-start gate below. The size alternation is anchored on
 # both sides so it cannot accidentally match /128 or /256.
-run_bench bench_leaf_scaling "$LEAF_OUT" 'BM_LeafSolve.*/(2|4|8)$|BM_LeafSchedule(Warm|Cold)/(8|32)$'
+run_bench bench_leaf_scaling "$LEAF_OUT" 'BM_LeafSolveSparseDual/(2|4|8)$|BM_LeafSchedule(Warm|Cold)/(8|32)$'
 # The scratch-vs-incremental x/y schedule at the 10k acceptance size.
 run_bench bench_xy_scaling "$XY_OUT" '/10000$'
 # The streaming I/O pipeline at the 100k size (the bounded-buffer contract

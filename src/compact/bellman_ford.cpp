@@ -171,36 +171,6 @@ SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order) {
   throw Error("compaction constraints are infeasible (positive cycle)");
 }
 
-SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
-                           std::vector<Coord>& upper_bounds) {
-  SolveStats stats;
-  // Greatest solution with X <= width: start at the ceiling and lower each
-  // variable to satisfy X[to] - X[from] >= w as a bound on X[from]:
-  // X[from] <= X[to] - w + pitch.
-  upper_bounds.assign(system.variable_count(), width);
-  const int max_passes = static_cast<int>(system.variable_count()) + 2;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++stats.passes;
-    bool changed = false;
-    for (const Constraint& c : system.constraints()) {
-      if (c.from < 0) continue;  // anchors bound from below only
-      const Coord bound =
-          upper_bounds[static_cast<std::size_t>(c.to)] - c.weight + pitch_term(system, c);
-      Coord& from = upper_bounds[static_cast<std::size_t>(c.from)];
-      if (from > bound) {
-        from = bound;
-        ++stats.relaxations;
-        changed = true;
-      }
-    }
-    if (!changed) {
-      stats.converged = true;
-      return stats;
-    }
-  }
-  throw Error("compaction constraints are infeasible (positive cycle)");
-}
-
 SolveStats solve_leftmost_worklist(ConstraintSystem& system,
                                    const std::vector<Coord>* warm_seed) {
   SolveStats stats;

@@ -42,29 +42,21 @@ enum class EdgeOrder {
   kReversed,   // adversarial: worst case for the relaxation count
 };
 
-// Which longest-path solver compact_flat runs.
-enum class SolverKind {
-  kWorklist,   // SPFA-style: one seeding sweep, then only the out-edges of
-               // changed variables are revisited
-  kPassBased,  // full edge-list sweeps until fixpoint (the §6.4.2 baseline)
-};
-
-// Solves into system.values. Throws rsg::Error on infeasible systems
-// (a positive cycle — the layout cannot satisfy its own constraints).
+// The pass-based solver: full edge-list sweeps in `order` until fixpoint —
+// the §6.4.2 baseline whose pass count bench_t642_bellman reports. Solves
+// into system.values. Throws rsg::Error on infeasible systems (a positive
+// cycle — the layout cannot satisfy its own constraints).
 SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder::kSorted);
 
-// The rightmost solution subject to every variable <= width (used by the
-// rubber-band pass to compute slack intervals).
-SolveStats solve_rightmost(ConstraintSystem& system, Coord width,
-                           std::vector<Coord>& upper_bounds);
-
-// Worklist (SPFA-style) variants: after one seeding sweep in §6.4.2's
-// sorted order (by the source's initial abscissa; descending sink abscissa
-// for the rightmost dual), only the out-edges (in-edges for the dual) of
-// variables whose value changed are revisited, so sparse updates stop
-// touching the whole edge list. The least (greatest) solution is unique,
-// so the values are identical to the pass-based solvers'; infeasible
-// systems throw the same rsg::Error.
+// The worklist (SPFA-style) solvers every compaction path runs: after one
+// seeding sweep in §6.4.2's sorted order (by the source's initial abscissa;
+// descending sink abscissa for the rightmost dual), only the out-edges
+// (in-edges for the dual) of variables whose value changed are revisited,
+// so sparse updates stop touching the whole edge list. The least solution
+// is unique, so the values are identical to solve_leftmost's; infeasible
+// systems throw the same rsg::Error. The rightmost variant computes the
+// greatest solution subject to every variable <= width (the rubber-band
+// pass's slack intervals).
 //
 // `warm_seed` (optional, size == variable_count) warm-starts the solve from
 // a previous solution instead of the source distance: the values are seeded

@@ -39,7 +39,6 @@ XyResult compact_flat_xy(const std::vector<LayerBox>& boxes, const CompactionRul
 }
 
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
-                                                       const FlatOptions& options,
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before) {
   if (!stretchable.empty() && stretchable.size() != boxes.size()) {
@@ -64,8 +63,7 @@ std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBo
     CompactionBox cb;
     cb.geometry = boxes[i];
     cb.geometry.box = cb.geometry.box.translated({-min_x, 0});
-    cb.stretchable = options.mark_all_stretchable ||
-                     (!stretchable.empty() && stretchable[i]);
+    cb.stretchable = !stretchable.empty() && stretchable[i];
     cboxes.push_back(cb);
   }
   return cboxes;
@@ -75,7 +73,7 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
                         const FlatOptions& options, const std::vector<bool>& stretchable) {
   FlatResult result;
   std::vector<CompactionBox> cboxes =
-      normalized_compaction_boxes(boxes, options, stretchable, result.width_before);
+      normalized_compaction_boxes(boxes, stretchable, result.width_before);
 
   BuilderOptions builder_options;
   builder_options.generator = options.naive_constraints ? ConstraintGenerator::kNaive
@@ -86,12 +84,8 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
   result.constraint_count = system.constraint_count();
   result.variable_count = system.variable_count();
 
-  result.solve = options.solver == SolverKind::kWorklist
-                     ? solve_leftmost_worklist(system)
-                     : solve_leftmost(system, options.edge_order);
-  if (options.apply_rubber_band) {
-    result.rubber = rubber_band(system, /*max_iterations=*/64, options.solver);
-  }
+  result.solve = solve_leftmost_worklist(system);
+  if (options.apply_rubber_band) result.rubber = rubber_band(system);
 
   result.boxes.reserve(cboxes.size());
   Coord width = 0;

@@ -16,11 +16,8 @@
 namespace rsg::compact {
 
 struct FlatOptions {
-  SolverKind solver = SolverKind::kWorklist;
-  EdgeOrder edge_order = EdgeOrder::kSorted;  // pass-based solver only
   bool apply_rubber_band = false;
   bool naive_constraints = false;  // the Figure 6.5 overconstraining baseline
-  bool mark_all_stretchable = false;
 };
 
 struct FlatResult {
@@ -46,7 +43,6 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
 // marking applied. Kept in one place so the incremental engine's
 // byte-identical-to-compact_flat contract cannot drift.
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
-                                                       const FlatOptions& options,
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before);
 

@@ -137,7 +137,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   // the leftmost edge at 0 and the other axis never moves x), so
   // normalization cannot dirty bands by itself.
   std::vector<CompactionBox> cboxes =
-      normalized_compaction_boxes(boxes, options_, stretchable_, result.width_before);
+      normalized_compaction_boxes(boxes, stretchable_, result.width_before);
 
   if (!state.initialized) {
     state.cuts = band_cuts(cboxes, resolve_sweep_threads(incremental_.bands));
@@ -152,13 +152,12 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
   state.stats = {};
   state.stats.shards_total = static_cast<int>(total);
   state.stats.full_build = !state.initialized;
-  const bool rebuild_all = !state.initialized || incremental_.full_rebuild;
   state.shards.resize(total);
 
   std::vector<std::size_t> dirty;
   dirty.reserve(total);
   for (std::size_t s = 0; s < total; ++s) {
-    if (rebuild_all || hashes[s] != state.hashes[s]) dirty.push_back(s);
+    if (!state.initialized || hashes[s] != state.hashes[s]) dirty.push_back(s);
   }
 
   std::vector<std::size_t> order;  // computed lazily: an all-clean pass never sweeps
@@ -256,15 +255,13 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     }
     if (feasible) seed = &state.warm;
   }
-  result.solve = options_.solver == SolverKind::kWorklist
-                     ? solve_leftmost_worklist(system, seed)
-                     : solve_leftmost(system, options_.edge_order);
+  result.solve = solve_leftmost_worklist(system, seed);
   // Snapshot the warm seed BEFORE the rubber band moves boxes off the
   // least solution: the next pass's warm start targets the least solve,
   // and a rubber-banded seed would fail verification every round.
   state.warm = system.values;
   if (options_.apply_rubber_band) {
-    result.rubber = rubber_band(system, /*max_iterations=*/64, options_.solver);
+    result.rubber = rubber_band(system);
   }
 
   result.boxes.reserve(cboxes.size());

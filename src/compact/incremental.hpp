@@ -20,9 +20,8 @@
 //     overshot, so the final geometry is always exactly the scratch
 //     geometry.
 //
-// `full_rebuild` is the escape hatch (every shard treated dirty every
-// pass); `check_byte_identity` additionally builds the scratch stream each
-// pass and throws on any divergence — the mode the equivalence tests and
+// `check_byte_identity` also builds the scratch stream on every pass
+// and throws on any divergence — the mode the equivalence tests and
 // suspicious production runs use.
 #pragma once
 
@@ -49,9 +48,6 @@ struct IncrementalOptions {
   // Y bands per layer; <= 0 means one per hardware core
   // (resolve_sweep_threads).
   int bands = 0;
-  // Escape hatch: re-sweep every shard every pass (state is still kept, so
-  // warm starts remain active).
-  bool full_rebuild = false;
   // Debug mode: every pass also generates the constraint stream from
   // scratch and throws rsg::Error if the incremental stream differs.
   bool check_byte_identity = false;

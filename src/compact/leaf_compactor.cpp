@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
+#include "compact/constraint_builder.hpp"
 #include "compact/flat_compactor.hpp"  // transposed_boxes
 #include "layout/flatten.hpp"
 #include "support/error.hpp"
@@ -18,6 +21,29 @@ bool layer_in(const std::vector<Layer>& layers, Layer layer) {
 struct BatchVars {
   std::vector<bool> stretchable;  // per box
 };
+
+// The §6.3 rewrite of a (pitched) constraint system into its LP: each
+// constraint X_to - X_from + k·λ >= w becomes the row
+// X_from - X_to - k·λ <= -w over nonnegative unknowns, with edge variable v
+// in column v and pitch p in column variable_count + p. The objective is
+// zero — build_leaf_lp weights pitches and widths. kAnchor rows against
+// the origin with non-positive weight are dropped: X >= 0 is implicit.
+LpProblem system_to_lp(const ConstraintSystem& system) {
+  const int num_edges = static_cast<int>(system.variable_count());
+  LpProblem lp;
+  lp.num_vars = num_edges + static_cast<int>(system.pitch_count());
+  lp.objective.assign(static_cast<std::size_t>(lp.num_vars), 0.0);
+  for (const Constraint& c : system.constraints()) {
+    if (c.from < 0 && c.weight <= 0) continue;
+    LpConstraint row;
+    if (c.from >= 0) row.terms.emplace_back(c.from, 1.0);
+    row.terms.emplace_back(c.to, -1.0);
+    if (c.pitch >= 0) row.terms.emplace_back(num_edges + c.pitch, -c.pitch_coeff);
+    row.rhs = -static_cast<double>(c.weight);
+    lp.constraints.push_back(std::move(row));
+  }
+  return lp;
+}
 
 std::vector<CompactionBox> cell_batch(const LeafCellVars& cv,
                                       const std::vector<bool>& stretchable) {
@@ -123,25 +149,26 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
   // box — W >= R - L with cost +width_weight — instead of the literal
   // +R/-L cost pair: at any optimum W = R - L so the value is identical,
   // but the objective stays COMPONENTWISE NONNEGATIVE, which is what makes
-  // the all-slack basis dual-feasible and lets the kSparseDual engine skip
-  // phase 1 outright (a -width_weight left-edge cost would force its
-  // artificial-bound fallback instead).
-  model.lp = builder.to_lp();
+  // the all-slack basis dual-feasible and lets solve_lp's dual engine skip
+  // phase 1 outright (a -width_weight left-edge cost would start every left
+  // edge at a working upper bound instead).
+  model.lp = system_to_lp(system);
+  const int num_edges = static_cast<int>(system.variable_count());
   for (const std::string& name : cell_names) {
     const LeafCellVars& cv = model.cells.at(name);
     for (std::size_t b = 0; b < cv.boxes.size(); ++b) {
       const int width_col = model.lp.num_vars++;
       model.lp.objective.push_back(width_weight);
       LpConstraint width;  // R - L - W <= 0
-      width.terms.emplace_back(builder.edge_column(cv.right_vars[b]), 1.0);
-      width.terms.emplace_back(builder.edge_column(cv.left_vars[b]), -1.0);
+      width.terms.emplace_back(cv.right_vars[b], 1.0);
+      width.terms.emplace_back(cv.left_vars[b], -1.0);
       width.terms.emplace_back(width_col, -1.0);
       width.rhs = 0.0;
       model.lp.constraints.push_back(std::move(width));
     }
   }
   for (std::size_t s = 0; s < pitch_specs.size(); ++s) {
-    model.lp.objective[static_cast<std::size_t>(builder.pitch_column(model.pitch_ids[s]))] +=
+    model.lp.objective[static_cast<std::size_t>(num_edges + model.pitch_ids[s])] +=
         pitch_specs[s].replication_weight;
   }
 
@@ -166,12 +193,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
   return model;
 }
 
-LeafResult solve_leaf_model(const LeafLpModel& model, LpMethod lp_method,
-                            LpPricing lp_pricing) {
-  return solve_leaf_model(model, LpOptions{lp_method, lp_pricing});
-}
-
-LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp, LpWarmStart* warm) {
+LeafResult solve_leaf_model(const LeafLpModel& model, LpWarmStart* warm) {
   LeafResult result;
   result.original_pitches = model.original_pitches;
   result.pitch_y = model.pitch_y;
@@ -179,7 +201,7 @@ LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp, LpWar
   result.unfolded_variable_count = model.unfolded_variable_count;
   result.constraint_count = model.system.constraint_count();
 
-  const LpSolution solution = solve_lp(model.lp, lp, warm);
+  const LpSolution solution = solve_lp(model.lp, warm);
   result.lp_stats = solution.stats;
   if (!solution.feasible) throw Error("leaf compaction: constraint system infeasible");
   if (!solution.bounded) throw Error("leaf compaction: objective unbounded (missing anchors)");
@@ -224,20 +246,10 @@ LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& inte
                               const std::vector<PitchSpec>& pitch_specs,
                               const CompactionRules& rules, double width_weight,
                               const std::vector<Layer>& stretchable_layers,
-                              const LpOptions& lp, LpWarmStart* warm) {
+                              LpWarmStart* warm) {
   return solve_leaf_model(build_leaf_lp(cells, interfaces, cell_names, pitch_specs, rules,
                                         width_weight, stretchable_layers),
-                          lp, warm);
-}
-
-LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
-                              const std::vector<std::string>& cell_names,
-                              const std::vector<PitchSpec>& pitch_specs,
-                              const CompactionRules& rules, double width_weight,
-                              const std::vector<Layer>& stretchable_layers, LpMethod lp_method,
-                              LpPricing lp_pricing) {
-  return compact_leaf_cells(cells, interfaces, cell_names, pitch_specs, rules, width_weight,
-                            stretchable_layers, LpOptions{lp_method, lp_pricing});
+                          warm);
 }
 
 LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& interfaces,
@@ -245,7 +257,7 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
                                 const std::vector<PitchSpec>& pitch_specs,
                                 const CompactionRules& rules, double width_weight,
                                 const std::vector<Layer>& stretchable_layers,
-                                const LpOptions& lp, LpWarmStart* warm) {
+                                LpWarmStart* warm) {
   // Transpose the library: every cell's flattened geometry axis-swapped,
   // every spec'd interface's pitch vector component-swapped. The mirrored
   // preconditions are checked HERE so the errors name the y axis instead
@@ -274,7 +286,7 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
   }
 
   LeafResult result = compact_leaf_cells(tcells, tinterfaces, cell_names, pitch_specs, rules,
-                                         width_weight, stretchable_layers, lp, warm);
+                                         width_weight, stretchable_layers, warm);
   // Transpose back: x in the solved frame is y in the caller's. The pitch
   // bookkeeping already reads correctly — `pitches` carries the optimized
   // (transposed-x = real-y) values, `pitch_y` the untouched x components.
@@ -321,6 +333,165 @@ void make_compacted_library_y(const LeafResult& result, const std::vector<PitchS
                            Interface{{result.pitch_y[s], result.pitches[s]},
                                      Orientation::kNorth});
   }
+}
+
+namespace {
+
+// The schedule's working copy of a leaf library: flattened per-cell
+// geometry plus the current pitch vector of every spec'd interface —
+// cheap to snapshot for the convergence test and to materialize into the
+// tables a pass consumes.
+struct LeafLibraryState {
+  std::map<std::string, std::vector<LayerBox>> geometry;
+  std::map<std::tuple<std::string, std::string, int>, Point> vectors;
+
+  bool operator==(const LeafLibraryState&) const = default;
+
+  CellTable cells() const {
+    CellTable table;
+    for (const auto& [name, boxes] : geometry) {
+      Cell& cell = table.create(name);
+      for (const LayerBox& lb : boxes) cell.add_box(lb.layer, lb.box);
+    }
+    return table;
+  }
+
+  InterfaceTable interfaces() const {
+    InterfaceTable table;
+    for (const auto& [key, vector] : vectors) {
+      table.declare(std::get<0>(key), std::get<1>(key), std::get<2>(key),
+                    Interface{vector, Orientation::kNorth});
+    }
+    return table;
+  }
+};
+
+}  // namespace
+
+LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable& interfaces,
+                                   const std::vector<std::string>& cell_names,
+                                   const std::vector<PitchSpec>& pitch_specs,
+                                   const CompactionRules& rules, const LeafXyOptions& options) {
+  if (pitch_specs.empty()) {
+    throw Error("leaf schedule: no pitch specs (use compact_leaf_cells for a pitch-free pass)");
+  }
+  LeafLibraryState state;
+  for (const PitchSpec& spec : pitch_specs) {
+    const Interface iface = interfaces.get(spec.cell_a, spec.cell_b, spec.interface_index);
+    if (!(iface.orientation == Orientation::kNorth)) {
+      throw Error("leaf schedule handles North-oriented interfaces only");
+    }
+    if (iface.vector.x <= 0 && iface.vector.y <= 0) {
+      throw Error("leaf schedule: interface between '" + spec.cell_a + "' and '" + spec.cell_b +
+                  "' has no positive pitch on either axis");
+    }
+    state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}] = iface.vector;
+  }
+  for (const std::string& name : cell_names) {
+    state.geometry[name] = flatten_boxes(cells.get(name));
+  }
+
+  // Partition the specs by compactable axis; a spec with both components
+  // positive rides both passes (its y pass sees the x pass's new pitch).
+  // Re-evaluated from the CURRENT vectors each round: a pitch between
+  // non-interacting cells can legally collapse to zero, after which it no
+  // longer satisfies the positive-pitch precondition of that axis's pass
+  // and simply stays where the collapse left it.
+  const auto specs_for_axis = [&](bool y_axis) {
+    std::vector<PitchSpec> specs;
+    for (const PitchSpec& spec : pitch_specs) {
+      const Point& vector = state.vectors.at({spec.cell_a, spec.cell_b, spec.interface_index});
+      if ((y_axis ? vector.y : vector.x) > 0) specs.push_back(spec);
+    }
+    return specs;
+  };
+
+  LeafXyResult result;
+  // One warm-start handle per axis, alive across rounds: round k's optimal
+  // basis seeds round k+1's solve of the same axis. The engine validates
+  // the carried basis itself (shape, nonsingularity, dual feasibility) and
+  // cold-starts when it is stale — e.g. when an axis's spec list changed
+  // and the LP shape with it — so the handles need no management here.
+  LpWarmStart warm_x;
+  LpWarmStart warm_y;
+  LpWarmStart* const warm_x_ptr = options.warm_start ? &warm_x : nullptr;
+  LpWarmStart* const warm_y_ptr = options.warm_start ? &warm_y : nullptr;
+  for (int round = 0; round < options.max_rounds; ++round) {
+    const LeafLibraryState before = state;
+    LeafRoundStats stats;
+    stats.round = round + 1;
+    const LeafRoundStats* previous =
+        result.round_stats.empty() ? nullptr : &result.round_stats.back();
+
+    const std::vector<PitchSpec> x_specs = specs_for_axis(/*y_axis=*/false);
+    const std::vector<PitchSpec> y_specs = specs_for_axis(/*y_axis=*/true);
+    if (!x_specs.empty()) {
+      const CellTable pass_cells = state.cells();
+      const InterfaceTable pass_interfaces = state.interfaces();
+      const LeafResult x = compact_leaf_cells(pass_cells, pass_interfaces, cell_names, x_specs,
+                                              rules, options.width_weight,
+                                              options.stretchable_layers, warm_x_ptr);
+      for (const auto& [name, boxes] : x.cells) state.geometry[name] = boxes;
+      for (std::size_t s = 0; s < x_specs.size(); ++s) {
+        const PitchSpec& spec = x_specs[s];
+        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].x = x.pitches[s];
+      }
+      stats.x_ran = true;
+      stats.x_lp = x.lp_stats;
+      stats.x_objective = x.objective;
+      result.lp_total += x.lp_stats;
+    }
+
+    if (!y_specs.empty()) {
+      const CellTable pass_cells = state.cells();
+      const InterfaceTable pass_interfaces = state.interfaces();
+      const LeafResult y = compact_leaf_cells_y(pass_cells, pass_interfaces, cell_names, y_specs,
+                                                rules, options.width_weight,
+                                                options.stretchable_layers, warm_y_ptr);
+      for (const auto& [name, boxes] : y.cells) state.geometry[name] = boxes;
+      for (std::size_t s = 0; s < y_specs.size(); ++s) {
+        const PitchSpec& spec = y_specs[s];
+        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].y = y.pitches[s];
+      }
+      stats.y_ran = true;
+      stats.y_lp = y.lp_stats;
+      stats.y_objective = y.objective;
+      result.lp_total += y.lp_stats;
+    }
+
+    // Convergence: the pitch vectors are back unchanged and neither axis
+    // found a better objective than last round. Box positions are NOT part
+    // of the test — the leaf LPs have tied alternative optima, and each
+    // pass's tie-break depends on the other axis's coordinates, so the
+    // geometry can wander inside the optimal face forever while every
+    // quantity the schedule optimizes (pitches, objective) sits still.
+    const auto close = [](double a, double b) {
+      return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
+    };
+    // An axis that ran in neither round is trivially stable (its specs
+    // dropped off — e.g. every pitch collapsed to zero); comparing its
+    // default 0.0 against a real objective would stall convergence.
+    const auto axis_plateau = [&](bool ran, double objective, bool prev_ran,
+                                  double prev_objective) {
+      if (ran != prev_ran) return false;
+      return !ran || close(objective, prev_objective);
+    };
+    const bool plateau =
+        previous != nullptr &&
+        axis_plateau(stats.x_ran, stats.x_objective, previous->x_ran, previous->x_objective) &&
+        axis_plateau(stats.y_ran, stats.y_objective, previous->y_ran, previous->y_objective);
+    result.round_stats.push_back(std::move(stats));
+    result.rounds = round + 1;
+    // Recomputed every round, not latched: under stop_when_converged =
+    // false a later round may move a pitch vector again, and the flag must
+    // describe the ROUND THE RESULT CAME FROM, not any earlier plateau.
+    result.converged = state == before || (plateau && state.vectors == before.vectors);
+    if (result.converged && options.stop_when_converged) break;
+  }
+
+  result.cells = state.cells();
+  result.interfaces = state.interfaces();
+  return result;
 }
 
 }  // namespace rsg::compact

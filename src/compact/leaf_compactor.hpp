@@ -13,33 +13,33 @@
 // linear program (§6.3) with a user cost function over the pitches —
 // weighted by expected replication factors, not by cell sizes (§6.2).
 //
-// The pipeline is split so the LP scaling benchmark and the dense/sparse
-// equivalence tests can hold the model fixed while swapping the solver:
-// build_leaf_lp() assembles the shared constraint system (through
-// ConstraintSystemBuilder) and its LP view; solve_leaf_model() runs the
-// selected simplex engine, rounds, verifies, and rebuilds the geometry;
-// compact_leaf_cells() is the two chained.
+// The pipeline is split so the LP scaling benchmark and the LP equivalence
+// tests can hold the model fixed: build_leaf_lp() assembles the shared
+// constraint system (through ConstraintSystemBuilder) and its LP view;
+// solve_leaf_model() runs solve_lp (compact/simplex.hpp), rounds,
+// verifies, and rebuilds the geometry; compact_leaf_cells() is the two
+// chained. The compaction objective is emitted componentwise nonnegative
+// precisely so solve_lp's dual engine can skip phase 1.
 //
 // Restrictions (documented §6.3 scope): compaction is one-dimensional in x;
 // interfaces must be North-oriented with positive x pitch; leaf-cell boxes
 // must sit at non-negative local x. compact_leaf_cells_y lifts the
 // one-dimensionality the same way the flat path does — transpose the
 // library, compact in x, transpose back — with the mirrored restrictions
-// (positive y pitch, non-negative local y); compact/xy_schedule.hpp
+// (positive y pitch, non-negative local y); compact_leaf_schedule
 // alternates the two into a leaf-aware x/y round.
 //
-// The LP engine behind a solve is an LpOptions knob; the default is the
-// kSparseDual engine (the compaction objective is emitted componentwise
-// nonnegative precisely so the dual can skip phase 1), with the primal
-// engines selectable for baselines and the dense tableau for equivalence
-// pins.
+// This is a library, not a pipeline stage: the generator's `.compact:xy`
+// directive runs the flat schedule (compact/xy_schedule.hpp), and no
+// product header includes this one. compaction_demo and the Chapter 6
+// figure benchmarks call it directly.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "compact/constraint_builder.hpp"
+#include "compact/constraint_graph.hpp"
 #include "compact/design_rule_table.hpp"
 #include "compact/simplex.hpp"
 #include "iface/interface_table.hpp"
@@ -107,24 +107,19 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
                           double width_weight = 1e-3,
                           const std::vector<Layer>& stretchable_layers = {});
 
-// Solves the model with the selected LP engine, rounds to the integer grid
-// (relaxing pitches upward if rounding broke a constraint), and rebuilds
-// the per-cell geometry. Throws rsg::Error on infeasible systems. The
-// default engine is LpOptions{} = kSparseDual; the second overload keeps
-// the PR 3-era (method, pricing) call shape for the equivalence suites.
+// Solves the model with solve_lp, rounds to the integer grid (relaxing
+// pitches upward if rounding broke a constraint), and rebuilds the
+// per-cell geometry. Throws rsg::Error on infeasible systems.
 //
-// `warm` (optional, kSparseDual only) carries the optimal basis from one
-// solve of a structurally-identical model into the next — the leaf
-// schedule's per-round re-solves are one bound change apart, so round k's
+// `warm` (optional) carries the optimal basis from one solve of a
+// structurally-identical model into the next — the leaf schedule's
+// per-round re-solves are one bound change apart, so round k's
 // basis is usually dual-feasible for round k+1 and the re-solve skips most
 // of its pivots. Pass an empty LpWarmStart on the first call and the SAME
 // handle on every subsequent one; the engine falls back to a cold start
 // (and reports it in LpStats::warm_attempted/warm_accepted) whenever the
 // carried basis is stale, singular, or dual-infeasible.
-LeafResult solve_leaf_model(const LeafLpModel& model, const LpOptions& lp = {},
-                            LpWarmStart* warm = nullptr);
-LeafResult solve_leaf_model(const LeafLpModel& model, LpMethod lp_method,
-                            LpPricing lp_pricing = LpPricing::kDantzig);
+LeafResult solve_leaf_model(const LeafLpModel& model, LpWarmStart* warm = nullptr);
 
 // build_leaf_lp + solve_leaf_model.
 LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
@@ -132,13 +127,7 @@ LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& inte
                               const std::vector<PitchSpec>& pitch_specs,
                               const CompactionRules& rules, double width_weight = 1e-3,
                               const std::vector<Layer>& stretchable_layers = {},
-                              const LpOptions& lp = {}, LpWarmStart* warm = nullptr);
-LeafResult compact_leaf_cells(const CellTable& cells, const InterfaceTable& interfaces,
-                              const std::vector<std::string>& cell_names,
-                              const std::vector<PitchSpec>& pitch_specs,
-                              const CompactionRules& rules, double width_weight,
-                              const std::vector<Layer>& stretchable_layers, LpMethod lp_method,
-                              LpPricing lp_pricing = LpPricing::kDantzig);
+                              LpWarmStart* warm = nullptr);
 
 // Leaf y-compaction by the flat path's transposition trick: transpose every
 // cell's geometry and every spec'd interface vector, run the x pipeline,
@@ -151,7 +140,7 @@ LeafResult compact_leaf_cells_y(const CellTable& cells, const InterfaceTable& in
                                 const std::vector<PitchSpec>& pitch_specs,
                                 const CompactionRules& rules, double width_weight = 1e-3,
                                 const std::vector<Layer>& stretchable_layers = {},
-                                const LpOptions& lp = {}, LpWarmStart* warm = nullptr);
+                                LpWarmStart* warm = nullptr);
 
 // Rebuilds a fresh cell table + interface table from a compaction result —
 // "after the compaction is completed, it is possible to build a new sample
@@ -164,5 +153,72 @@ void make_compacted_library(const LeafResult& result, const std::vector<PitchSpe
                             CellTable& out_cells, InterfaceTable& out_interfaces);
 void make_compacted_library_y(const LeafResult& result, const std::vector<PitchSpec>& pitch_specs,
                               CellTable& out_cells, InterfaceTable& out_interfaces);
+
+// --- the leaf-aware x/y round ----------------------------------------------
+//
+// The alternating schedule of compact/xy_schedule.hpp applied to the
+// library: compact_leaf_schedule alternates compact_leaf_cells (x) with
+// compact_leaf_cells_y over a pitch-spec list partitioned by axis — specs
+// with a positive x pitch feed the x pass, specs with a positive y pitch
+// the y pass, both-positive specs feed both — rebuilding the library
+// between passes until a round leaves every pitch and objective unchanged.
+
+struct LeafXyOptions {
+  // Hard cap; each round is one x pass (compact_leaf_cells) followed by one
+  // y pass (compact_leaf_cells_y). Leaf rounds converge much faster than
+  // flat ones — the library couples globally through the pitches — so the
+  // default cap is small.
+  int max_rounds = 4;
+  bool stop_when_converged = true;
+  double width_weight = 1e-3;
+  std::vector<Layer> stretchable_layers;
+  // Carry each axis's optimal basis into the next round's solve.
+  // Consecutive rounds of one axis are structurally identical LPs a few
+  // bound changes apart, so the carried basis usually prices dual-feasible
+  // and the re-solve spends a fraction of a cold start's pivots
+  // (LeafRoundStats::{x,y}_lp.warm_accepted says when it held; the engine
+  // cold-starts on its own whenever it does not). The solved objective is
+  // identical either way — only the pivot path (and, on LPs with tied
+  // optima, which optimal vertex reports) changes.
+  bool warm_start = true;
+};
+
+// Per-round LP telemetry — the leaf analogue of RoundStats, reported by
+// compaction_demo and asserted by the leaf schedule tests.
+struct LeafRoundStats {
+  int round = 0;   // 1-based
+  bool x_ran = false;  // false when the round had no specs on that axis
+  bool y_ran = false;
+  LpStats x_lp;
+  LpStats y_lp;
+  double x_objective = 0.0;
+  double y_objective = 0.0;
+};
+
+struct LeafXyResult {
+  // The compacted library: cell geometry plus every spec'd interface with
+  // both axis components updated — ready to serve as the next technology's
+  // sample library (§6.3).
+  CellTable cells;
+  InterfaceTable interfaces;
+  int rounds = 0;
+  // A round left every pitch vector unchanged and neither axis improved
+  // its objective (box positions may still wander inside the tied optimal
+  // face — each pass's tie-break depends on the other axis's coordinates,
+  // so pitch/objective stability IS the schedule's fixpoint).
+  bool converged = false;
+  LpStats lp_total;        // summed over every pass of every round
+  std::vector<LeafRoundStats> round_stats;
+};
+
+// Alternates leaf x and y compaction to a library fixpoint. Every spec must
+// have a positive pitch on at least one axis; specs positive on both feed
+// both passes (the y pass re-optimizes y under the x pass's fresh pitches).
+// Throws rsg::Error on infeasible systems, like the underlying compactors.
+LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable& interfaces,
+                                   const std::vector<std::string>& cell_names,
+                                   const std::vector<PitchSpec>& pitch_specs,
+                                   const CompactionRules& rules,
+                                   const LeafXyOptions& options = {});
 
 }  // namespace rsg::compact

@@ -120,9 +120,10 @@ void generate_constraints_banded(ConstraintSystem& system,
                                  const CompactionRules& rules, int bands);
 
 // The pre-scaling reference: all-pairs net discovery (O(n^2)) and a
-// linear-scan profile (O(n) per query/insert). Kept selectable so the
-// equivalence property tests and the scaling benchmark can prove the fast
-// path emits the byte-identical constraint system.
+// linear-scan profile (O(n) per query/insert). Shares its private emission
+// helpers with generate_constraints, which is why it lives here; only the
+// equivalence property tests call it, to prove the fast path emits the
+// byte-identical constraint system.
 void generate_constraints_reference(ConstraintSystem& system,
                                     const std::vector<CompactionBox>& boxes,
                                     const CompactionRules& rules);

@@ -1,117 +1,1350 @@
-#include "compact/simplex.hpp"
-
+// The LP engine behind solve_lp: a revised simplex over a column-major
+// (CSC) constraint matrix with an LU-factorized basis, driven either as the
+// bounded-variable dual (solve_lp) or as the two-phase primal it declines
+// to (detail::solve_lp_primal). Neither materializes a tableau or a
+// product-form inverse:
+//
+//   * The constraint matrix is stored once in CSC form (slack and
+//     artificial columns are implicit unit vectors), so pricing is one
+//     BTRAN plus a single pass over the stored nonzeros.
+//   * The basis inverse is a sparse LU factorization (LuBasis).
+//     Refactorization runs Markowitz-ordered elimination: each pivot
+//     minimizes (row_count-1)*(col_count-1) among entries within a
+//     relative magnitude threshold of their column max, which is what
+//     keeps the factors of a <= 3-nonzero-per-row compaction basis at
+//     O(m) nonzeros. Unit (slack/artificial) columns score zero and are
+//     eliminated first, for free.
+//   * Each pivot applies a Forrest–Tomlin update: the spiked column is
+//     moved to the last pivot position and the spiked ROW is eliminated
+//     against the in-between rows of U, appending one row eta to the L
+//     file — O(row fill) per pivot instead of a fresh factorization.
+//   * Refactorization triggers on EITHER a pivot-count interval or on
+//     measured nnz growth of the factors (LpStats::nnz_refactorizations
+//     counts the latter), so pathological Forrest–Tomlin fill cannot
+//     quietly turn the factors dense between interval boundaries.
+//   * FTRAN/BTRAN are hyper-sparse: when the right-hand side is sparse,
+//     the triangular solves first walk the U dependency graph (a DFS over
+//     per-slot user lists) to find the positions that can become nonzero,
+//     then solve only those, in pivot order. A skipped position is EXACTLY
+//     zero — skipping is bit-identical to solving — so the cutover to the
+//     plain dense-ordered loop on dense rhs is purely a cost decision.
+//     LpStats::ftran_rows / ftran_rows_skipped measure the effect.
+//
+// The primal engine prices Dantzig, with Bland's rule after
+// kDegeneratePivotStreak consecutive degenerate pivots, reverting on the
+// first pivot that makes progress.
+//
+// The dual engine (solve_dual) is a BOUNDED-VARIABLE dual simplex. Every
+// column carries bounds [0, u_j] (LpProblem::upper, +inf when absent); a
+// nonbasic column rests at either bound and a negative-cost column starts
+// AT ITS UPPER BOUND, which makes the all-slack basis dual-feasible with no
+// artificial machinery. Negative-cost columns with no finite user bound
+// get a large WORKING bound u_j = kDualBoundScale * (1 + max |rhs|); a
+// working bound that is active at the reported optimum means the true
+// problem wanted to push further (often: it is unbounded), so the engine
+// DECLINES and the primal path re-decides. The dual ratio test is two-pass
+// Harris over BOTH nonbasic sets (at-lower needs sign(alpha) opposite the
+// violation, at-upper the same sign): pass 1 computes the
+// kHarrisTol-relaxed ratio bound, pass 2 takes the largest-|alpha|
+// candidate inside it, and a pivot-magnitude floor (kStablePivotTol)
+// declines the solve rather than admit a near-singular pivot into the
+// factorization — one such pivot can poison every later solve against
+// that basis (pinned by sparse_simplex_test).
+//
+// Warm starts: solve_dual accepts an LpWarmStart carried from a previous
+// solve over the same-shaped problem (the leaf schedule's per-round
+// re-solves are one bound change apart). Dual feasibility depends only on
+// the costs — not the rhs or bounds — so a prior optimal basis prices
+// dual-feasible under any rhs perturbation and the re-solve starts from
+// (usually) primal-near-feasible instead of all-slack. The carried basis
+// is accepted only if it factorizes nonsingular AND prices dual-feasible;
+// anything else falls back to the cold all-slack start.
+//
+// The dual engine never proves anything it cannot certify: lost dual
+// feasibility, an active working bound, a vanishing pivot element or an
+// iteration stall all DECLINE the solve and hand the unchanged problem to
+// the primal engine (LpStats::dual_fallbacks). A declined attempt's work
+// is reported under LpStats::declined_* — the primary counters describe
+// the authoritative primal solve alone.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <queue>
+#include <utility>
+#include <vector>
 
+#include "compact/simplex.hpp"
 #include "support/error.hpp"
 
-namespace rsg::compact {
+namespace rsg::compact::detail {
 
 namespace {
 
 constexpr double kEps = 1e-9;
+constexpr double kPivotEps = 1e-11;
+constexpr double kFeasEps = 1e-7;
+constexpr int kRefactorInterval = 100;
+// Dual engine: the bounded Harris tolerance of the dual ratio test — pass 1
+// relaxes each candidate's reduced cost by this much to widen the pivot
+// choice, pass 2 takes the largest pivot element inside the widened set.
+constexpr double kHarrisTol = 1e-7;
+// The dual ratio test's pivot-magnitude floor: when even the largest
+// eligible |alpha| sits below this, the row is numerically parallel to
+// every candidate column and pivoting would seed the factorization with a
+// near-singular update — decline to the primal engine instead. Two decades
+// above kEps, which is all the old single-floor test required.
+constexpr double kStablePivotTol = 1e-7;
+// Reduced costs below this during the dual scan mean dual feasibility was
+// lost (numerically) and the engine must decline to the primal path. A
+// Harris-widened pivot can legally dip a reduced cost by kHarrisTol, so
+// this sits one decade looser.
+constexpr double kDualFeasEps = 1e-6;
+// A working bound is this multiple of (1 + max |rhs|): far above any
+// compaction optimum, small enough that doubles keep ~9 digits of slack.
+// The bound must be INACTIVE at the optimum for the dual's answer to be
+// the true one; a basic working-bounded variable closer than
+// kDualBoundSlackFrac of its bound declines to the primal engine.
+constexpr double kDualBoundScale = 1e6;
+constexpr double kDualBoundSlackFrac = 1e-2;
+// Markowitz threshold pivoting: an entry is pivot-eligible only within
+// this factor of its column's max magnitude (stability) — among eligible
+// entries the lowest (r-1)*(c-1) count product wins (sparsity). The
+// selection scans columns in increasing-count buckets and stops after
+// kMarkowitzScanLimit candidate columns (or immediately on a zero score).
+constexpr double kMarkowitzRel = 0.1;
+constexpr int kMarkowitzScanLimit = 8;
+// Factor entries below this are dropped as exact zeros (cancellation).
+constexpr double kDropTol = 1e-12;
+// Refactorize when the factors grow past kNnzGrowthFactor * fresh size +
+// slack — the nnz-growth trigger that backs up the pivot-count interval.
+constexpr double kNnzGrowthFactor = 2.0;
+constexpr int kNnzGrowthSlack = 64;
+// Hyper-sparse solves: take the graph-ordered path only when the rhs
+// touches under ~30% of the rows AND the basis is big enough for the DFS
+// bookkeeping to pay for itself.
+constexpr int kHyperSparseMinRows = 32;
 
-// Dense tableau: rows = constraints, columns = structural + slack +
-// artificial variables, plus the rhs column. `basis[i]` is the variable
-// occupying row i.
-class Tableau {
- public:
-  Tableau(const LpProblem& problem) {
-    const int m = static_cast<int>(problem.constraints.size());
-    const int n = problem.num_vars;
-    num_structural_ = n;
-    num_slack_ = m;
-    // Artificials only for rows whose slack alone cannot form a feasible
-    // basis (negative rhs after normalization).
-    std::vector<bool> needs_artificial(static_cast<std::size_t>(m), false);
-    int artificials = 0;
-    for (int i = 0; i < m; ++i) {
-      if (problem.constraints[static_cast<std::size_t>(i)].rhs < -kEps) {
-        needs_artificial[static_cast<std::size_t>(i)] = true;
-        ++artificials;
-      }
+inline double elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// A sparse working vector: dense values plus the list of positions written
+// since the last clear, so loads, solves and resets cost O(touched) rather
+// than O(m). `v` entries outside `touched` are exactly 0.0.
+struct Scratch {
+  std::vector<double> v;
+  std::vector<int> touched;
+  std::vector<char> mark;
+
+  void init(int size) {
+    v.assign(static_cast<std::size_t>(size), 0.0);
+    mark.assign(static_cast<std::size_t>(size), 0);
+    touched.clear();
+    touched.reserve(static_cast<std::size_t>(size));
+  }
+  void touch(int i) {
+    if (!mark[static_cast<std::size_t>(i)]) {
+      mark[static_cast<std::size_t>(i)] = 1;
+      touched.push_back(i);
     }
-    num_artificial_ = artificials;
-    cols_ = n + m + artificials + 1;  // + rhs
-    rows_.assign(static_cast<std::size_t>(m),
-                 std::vector<double>(static_cast<std::size_t>(cols_), 0.0));
-    basis_.assign(static_cast<std::size_t>(m), -1);
+  }
+  void add(int i, double x) {
+    touch(i);
+    v[static_cast<std::size_t>(i)] += x;
+  }
+  void set(int i, double x) {
+    touch(i);
+    v[static_cast<std::size_t>(i)] = x;
+  }
+  void clear() {
+    for (const int i : touched) {
+      v[static_cast<std::size_t>(i)] = 0.0;
+      mark[static_cast<std::size_t>(i)] = 0;
+    }
+    touched.clear();
+  }
+};
 
-    int next_artificial = n + m;
-    for (int i = 0; i < m; ++i) {
-      const LpConstraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      auto& row = rows_[static_cast<std::size_t>(i)];
-      for (const auto& [var, coeff] : c.terms) {
-        if (var < 0 || var >= n) throw Error("simplex: variable index out of range");
-        row[static_cast<std::size_t>(var)] += coeff;
+// The LU-factorized basis: B = L * U up to row/column permutation, with L
+// held as a file of elementary operations (column etas from factorization,
+// row etas from Forrest–Tomlin updates) and U held row-wise, indexed by
+// SLOT. A slot is the engine's fixed name for a basis position: slot s
+// always holds basis column basis_[s], across refactorizations and
+// updates; what moves is the slot's pivot row and its place in the pivot
+// order. FTRAN output is slot-indexed, BTRAN output row-indexed.
+class LuBasis {
+ public:
+  // One elementary L operation, applied to a row-indexed vector w:
+  //   column eta (factorization):    w[i] -= mult_i * w[pivot_row]  per term
+  //   row eta (Forrest–Tomlin):      w[pivot_row] -= sum mult_i * w[i]
+  struct LOp {
+    int pivot_row = 0;
+    bool row_op = false;
+    std::vector<std::pair<int, double>> terms;  // (row, multiplier)
+  };
+
+  // Row `row` of U for one slot: diagonal entry plus the off-diagonal
+  // entries (slot, value) — every off slot sits LATER in the pivot order.
+  struct URow {
+    int row = -1;
+    double diag = 0.0;
+    std::vector<std::pair<int, double>> off;
+  };
+
+  int rows() const { return m_; }
+  bool growth_exceeded() const {
+    return static_cast<double>(current_nnz_) >
+           kNnzGrowthFactor * static_cast<double>(fresh_nnz_) + kNnzGrowthSlack;
+  }
+
+  // Markowitz-ordered factorization of the m x m basis whose column for
+  // slot s is produced by load_col(s, entries) (entries: (row, value),
+  // duplicate-free). Returns false when the basis is numerically singular;
+  // the factor state is unusable until the next successful factorize.
+  template <typename ColFn>
+  bool factorize(int m, ColFn&& load_col) {
+    m_ = m;
+    lops_.clear();
+    order_.clear();
+    order_.reserve(static_cast<std::size_t>(m));
+    urow_.assign(static_cast<std::size_t>(m), URow{});
+    pos_.assign(static_cast<std::size_t>(m), -1);
+    slot_of_row_.assign(static_cast<std::size_t>(m), -1);
+    users_.assign(static_cast<std::size_t>(m), {});
+    fresh_nnz_ = m;  // diagonals
+    current_nnz_ = m;
+    if (m == 0) return true;
+
+    // The active working matrix: per-column entry lists (exact), per-row
+    // nnz counts, and stale-tolerant row->slots lists for pivot-row walks.
+    std::vector<std::vector<std::pair<int, double>>> wcols(static_cast<std::size_t>(m));
+    std::vector<std::vector<int>> rowlist(static_cast<std::size_t>(m));
+    std::vector<int> row_nnz(static_cast<std::size_t>(m), 0);
+    std::vector<char> active_row(static_cast<std::size_t>(m), 1);
+    std::vector<char> active_col(static_cast<std::size_t>(m), 1);
+    // Columns bucketed by nnz; entries go stale when a column's count
+    // changes or it leaves the active set, and are dropped when scanned.
+    std::vector<std::vector<int>> bucket(static_cast<std::size_t>(m) + 1);
+    for (int s = 0; s < m; ++s) {
+      load_col(s, wcols[static_cast<std::size_t>(s)]);
+      if (wcols[static_cast<std::size_t>(s)].empty()) return false;
+      for (const auto& [r, v] : wcols[static_cast<std::size_t>(s)]) {
+        (void)v;
+        rowlist[static_cast<std::size_t>(r)].push_back(s);
+        ++row_nnz[static_cast<std::size_t>(r)];
       }
-      row[static_cast<std::size_t>(n + i)] = 1.0;  // slack
-      row[static_cast<std::size_t>(cols_ - 1)] = c.rhs;
-      if (needs_artificial[static_cast<std::size_t>(i)]) {
-        // Normalize to nonnegative rhs: negate the row (slack becomes -1),
-        // then add an artificial to restore a basic column.
-        for (double& v : row) v = -v;
-        row[static_cast<std::size_t>(next_artificial)] = 1.0;
-        basis_[static_cast<std::size_t>(i)] = next_artificial;
-        ++next_artificial;
-      } else {
-        basis_[static_cast<std::size_t>(i)] = n + i;
+      bucket[wcols[static_cast<std::size_t>(s)].size()].push_back(s);
+    }
+    // Dense update scratch: multipliers per row of the pivot column, and a
+    // per-column "already updated" flag, both reset per use.
+    std::vector<double> mult(static_cast<std::size_t>(m), 0.0);
+    std::vector<char> hit(static_cast<std::size_t>(m), 0);
+
+    for (int step = 0; step < m; ++step) {
+      // --- pivot selection -------------------------------------------------
+      int best_c = -1;
+      int best_r = -1;
+      double best_v = 0.0;
+      long long best_score = std::numeric_limits<long long>::max();
+      int scanned = 0;
+      for (int count = 1; count <= m && best_score > 0; ++count) {
+        auto& b = bucket[static_cast<std::size_t>(count)];
+        for (std::size_t bi = 0; bi < b.size() && best_score > 0;) {
+          const int c = b[bi];
+          if (!active_col[static_cast<std::size_t>(c)] ||
+              static_cast<int>(wcols[static_cast<std::size_t>(c)].size()) != count) {
+            b[bi] = b.back();
+            b.pop_back();
+            continue;
+          }
+          ++bi;
+          double colmax = 0.0;
+          for (const auto& [r, v] : wcols[static_cast<std::size_t>(c)]) {
+            (void)r;
+            colmax = std::max(colmax, std::abs(v));
+          }
+          if (colmax < kPivotEps) continue;  // cannot host a pivot (yet)
+          ++scanned;
+          // Best entry of this column: min Markowitz score among entries
+          // within the relative threshold; ties to the larger magnitude,
+          // then the smaller row.
+          int col_r = -1;
+          double col_v = 0.0;
+          long long col_score = std::numeric_limits<long long>::max();
+          for (const auto& [r, v] : wcols[static_cast<std::size_t>(c)]) {
+            const double a = std::abs(v);
+            if (a < kPivotEps || a < kMarkowitzRel * colmax) continue;
+            const long long score = static_cast<long long>(row_nnz[static_cast<std::size_t>(r)] - 1) *
+                                    static_cast<long long>(count - 1);
+            if (score < col_score || (score == col_score && (a > std::abs(col_v) ||
+                                                             (a == std::abs(col_v) && r < col_r)))) {
+              col_score = score;
+              col_r = r;
+              col_v = v;
+            }
+          }
+          if (col_r < 0) continue;
+          if (col_score < best_score || (col_score == best_score && c < best_c)) {
+            best_score = col_score;
+            best_c = c;
+            best_r = col_r;
+            best_v = col_v;
+          }
+        }
+        if (best_c >= 0 && scanned >= kMarkowitzScanLimit) break;
+      }
+      if (best_c < 0) return false;  // no eligible pivot anywhere: singular
+      const int c = best_c;
+      const int r = best_r;
+      const double pv = best_v;
+
+      // --- record the pivot ------------------------------------------------
+      pos_[static_cast<std::size_t>(c)] = static_cast<int>(order_.size());
+      order_.push_back(c);
+      slot_of_row_[static_cast<std::size_t>(r)] = c;
+      URow& u = urow_[static_cast<std::size_t>(c)];
+      u.row = r;
+      u.diag = pv;
+
+      // Column eta: the multipliers of the pivot column's other entries.
+      LOp col_op;
+      col_op.pivot_row = r;
+      for (const auto& [i, v] : wcols[static_cast<std::size_t>(c)]) {
+        if (i == r) continue;
+        col_op.terms.emplace_back(i, v / pv);
+        --row_nnz[static_cast<std::size_t>(i)];  // column c leaves the matrix
+      }
+
+      // U row: walk row r's slots, harvesting (and physically removing)
+      // its entries from the still-active columns.
+      for (const int c2 : rowlist[static_cast<std::size_t>(r)]) {
+        if (c2 == c || !active_col[static_cast<std::size_t>(c2)]) continue;
+        auto& col2 = wcols[static_cast<std::size_t>(c2)];
+        for (std::size_t k = 0; k < col2.size(); ++k) {
+          if (col2[k].first != r) continue;
+          u.off.emplace_back(c2, col2[k].second);
+          users_[static_cast<std::size_t>(c2)].push_back(c);
+          col2[k] = col2.back();
+          col2.pop_back();
+          bucket[col2.size()].push_back(c2);
+          break;  // entries are duplicate-free
+        }
+      }
+      active_col[static_cast<std::size_t>(c)] = 0;
+      active_row[static_cast<std::size_t>(r)] = 0;
+
+      // --- eliminate: submatrix -= mult (outer) u.off ----------------------
+      if (!col_op.terms.empty() && !u.off.empty()) {
+        for (const auto& [i, mv] : col_op.terms) mult[static_cast<std::size_t>(i)] = mv;
+        for (const auto& [c2, uv] : u.off) {
+          auto& col2 = wcols[static_cast<std::size_t>(c2)];
+          for (std::size_t k = 0; k < col2.size();) {
+            const int i = col2[k].first;
+            if (mult[static_cast<std::size_t>(i)] == 0.0) {
+              ++k;
+              continue;
+            }
+            hit[static_cast<std::size_t>(i)] = 1;
+            col2[k].second -= mult[static_cast<std::size_t>(i)] * uv;
+            if (std::abs(col2[k].second) < kDropTol) {
+              col2[k] = col2.back();
+              col2.pop_back();
+              --row_nnz[static_cast<std::size_t>(i)];
+            } else {
+              ++k;
+            }
+          }
+          // Fill: pivot-column rows this column had no entry for.
+          for (const auto& [i, mv] : col_op.terms) {
+            if (hit[static_cast<std::size_t>(i)]) {
+              hit[static_cast<std::size_t>(i)] = 0;
+              continue;
+            }
+            const double f = -mv * uv;
+            if (std::abs(f) < kDropTol) continue;
+            col2.emplace_back(i, f);
+            rowlist[static_cast<std::size_t>(i)].push_back(c2);
+            ++row_nnz[static_cast<std::size_t>(i)];
+          }
+          bucket[std::min(col2.size(), static_cast<std::size_t>(m))].push_back(c2);
+        }
+        for (const auto& [i, mv] : col_op.terms) {
+          (void)mv;
+          mult[static_cast<std::size_t>(i)] = 0.0;
+        }
+      }
+
+      fresh_nnz_ += static_cast<long long>(col_op.terms.size() + u.off.size());
+      if (!col_op.terms.empty()) lops_.push_back(std::move(col_op));
+    }
+    (void)active_row;
+    current_nnz_ = fresh_nnz_;
+    return true;
+  }
+
+  // FTRAN: solves B x = a. `w` holds the row-indexed right-hand side and is
+  // left holding the L-stage image L^-1 a (the Forrest–Tomlin spike — feed
+  // it to update() for a pivot on this column); `x` receives the
+  // slot-indexed solution. `stats` (optional) gets the hyper-sparse
+  // telemetry.
+  void ftran(Scratch& w, Scratch& x, LpStats* stats) {
+    apply_l(w);
+    if (stats) stats->ftran_rows += m_;
+    if (hyper_sparse(static_cast<int>(w.touched.size()))) {
+      // Mark every slot reachable from the rhs nonzeros through the user
+      // lists (slot s feeds every slot whose U row references s). User
+      // lists may carry stale edges from updates — those only over-mark,
+      // and an over-marked position solves to an exact 0.
+      for (const int r : w.touched) {
+        if (w.v[static_cast<std::size_t>(r)] == 0.0) continue;
+        const int s0 = slot_of_row_[static_cast<std::size_t>(r)];
+        if (s0 < 0 || x.mark[static_cast<std::size_t>(s0)]) continue;
+        stack_.push_back(s0);
+        x.touch(s0);
+        while (!stack_.empty()) {
+          const int s = stack_.back();
+          stack_.pop_back();
+          for (const int t : users_[static_cast<std::size_t>(s)]) {
+            if (!x.mark[static_cast<std::size_t>(t)]) {
+              x.touch(t);
+              stack_.push_back(t);
+            }
+          }
+        }
+      }
+      std::sort(x.touched.begin(), x.touched.end(), [this](int a, int b) {
+        return pos_[static_cast<std::size_t>(a)] > pos_[static_cast<std::size_t>(b)];
+      });
+      for (const int s : x.touched) {
+        const URow& u = urow_[static_cast<std::size_t>(s)];
+        double val = w.v[static_cast<std::size_t>(u.row)];
+        for (const auto& [s2, uv] : u.off) val -= uv * x.v[static_cast<std::size_t>(s2)];
+        x.v[static_cast<std::size_t>(s)] = val / u.diag;
+      }
+      if (stats) stats->ftran_rows_skipped += m_ - static_cast<long long>(x.touched.size());
+    } else {
+      for (int k = m_ - 1; k >= 0; --k) {
+        const int s = order_[static_cast<std::size_t>(k)];
+        const URow& u = urow_[static_cast<std::size_t>(s)];
+        double val = w.v[static_cast<std::size_t>(u.row)];
+        for (const auto& [s2, uv] : u.off) val -= uv * x.v[static_cast<std::size_t>(s2)];
+        if (val != 0.0) x.set(s, val / u.diag);
       }
     }
   }
 
-  // Minimizes the given objective over the current feasible basis.
-  // Returns false if unbounded.
-  bool minimize(const std::vector<double>& costs, LpStats& stats) {
-    // Reduced-cost row: z_j - c_j form, built fresh.
-    objective_.assign(static_cast<std::size_t>(cols_), 0.0);
-    for (int j = 0; j < cols_; ++j) objective_[static_cast<std::size_t>(j)] = 0.0;
-    for (std::size_t j = 0; j < costs.size(); ++j) objective_[j] = costs[j];
-    // Price out the basic variables.
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const int b = basis_[i];
-      const double cb = b < static_cast<int>(costs.size()) ? costs[static_cast<std::size_t>(b)]
-                                                           : 0.0;
-      if (std::abs(cb) < kEps) continue;
-      for (int j = 0; j < cols_; ++j) {
-        objective_[static_cast<std::size_t>(j)] -= cb * rows_[i][static_cast<std::size_t>(j)];
+  // BTRAN: solves B^T y = c. `c` holds the slot-indexed right-hand side
+  // (consumed: cleared on return); `y` receives the row-indexed solution.
+  void btran(Scratch& c, Scratch& y) {
+    if (hyper_sparse(static_cast<int>(c.touched.size()))) {
+      // Reachability along U's off edges (slot s feeds its off slots).
+      reach_.clear();
+      for (std::size_t ci = 0; ci < c.touched.size(); ++ci) {
+        const int s0 = c.touched[ci];
+        if (reach_mark_[static_cast<std::size_t>(s0)]) continue;
+        reach_mark_[static_cast<std::size_t>(s0)] = 1;
+        reach_.push_back(s0);
+        stack_.push_back(s0);
+        while (!stack_.empty()) {
+          const int s = stack_.back();
+          stack_.pop_back();
+          for (const auto& [s2, uv] : urow_[static_cast<std::size_t>(s)].off) {
+            (void)uv;
+            if (!reach_mark_[static_cast<std::size_t>(s2)]) {
+              reach_mark_[static_cast<std::size_t>(s2)] = 1;
+              reach_.push_back(s2);
+              stack_.push_back(s2);
+            }
+          }
+        }
       }
+      std::sort(reach_.begin(), reach_.end(), [this](int a, int b) {
+        return pos_[static_cast<std::size_t>(a)] < pos_[static_cast<std::size_t>(b)];
+      });
+      for (const int s : reach_) {
+        reach_mark_[static_cast<std::size_t>(s)] = 0;
+        const URow& u = urow_[static_cast<std::size_t>(s)];
+        const double cv = c.v[static_cast<std::size_t>(s)];
+        if (cv == 0.0) continue;
+        const double z = cv / u.diag;
+        y.set(u.row, z);
+        for (const auto& [s2, uv] : u.off) c.add(s2, -z * uv);
+      }
+    } else {
+      for (int k = 0; k < m_; ++k) {
+        const int s = order_[static_cast<std::size_t>(k)];
+        const URow& u = urow_[static_cast<std::size_t>(s)];
+        const double cv = c.v[static_cast<std::size_t>(s)];
+        if (cv == 0.0) continue;
+        const double z = cv / u.diag;
+        y.set(u.row, z);
+        for (const auto& [s2, uv] : u.off) c.add(s2, -z * uv);
+      }
+    }
+    c.clear();
+    // L^T, reverse order: a column eta transposes to a gather into its
+    // pivot row; a row eta to a scatter out of it.
+    for (auto it = lops_.rbegin(); it != lops_.rend(); ++it) {
+      if (it->row_op) {
+        const double yp = y.v[static_cast<std::size_t>(it->pivot_row)];
+        if (yp == 0.0) continue;
+        for (const auto& [i, mv] : it->terms) {
+          y.touch(i);
+          y.v[static_cast<std::size_t>(i)] -= mv * yp;
+        }
+      } else {
+        double acc = 0.0;
+        bool any = false;
+        for (const auto& [i, mv] : it->terms) {
+          const double yi = y.v[static_cast<std::size_t>(i)];
+          if (yi != 0.0) {
+            acc += mv * yi;
+            any = true;
+          }
+        }
+        if (any) {
+          y.touch(it->pivot_row);
+          y.v[static_cast<std::size_t>(it->pivot_row)] -= acc;
+        }
+      }
+    }
+  }
+
+  // Forrest–Tomlin update: slot p's basis column is replaced by the column
+  // whose L-stage image (L^-1 a, row-indexed) is in `w` — exactly what
+  // ftran() left there. Slot p moves to the end of the pivot order, its
+  // old pivot ROW is eliminated against the rows in between (appending one
+  // row eta), and the new diagonal is what remains. Returns false when
+  // that diagonal vanishes — the caller must refactorize.
+  bool update(int p, Scratch& w) {
+    const int kp = pos_[static_cast<std::size_t>(p)];
+    const int R = urow_[static_cast<std::size_t>(p)].row;
+
+    // Remove the old column p from the rows that referenced it.
+    for (const int t : users_[static_cast<std::size_t>(p)]) {
+      auto& off = urow_[static_cast<std::size_t>(t)].off;
+      for (std::size_t k = 0; k < off.size(); ++k) {
+        if (off[k].first == p) {
+          off[k] = off.back();
+          off.pop_back();
+          --current_nnz_;
+          break;
+        }
+      }
+    }
+    users_[static_cast<std::size_t>(p)].clear();
+
+    // Move slot p to the last pivot position BEFORE seeding the
+    // elimination heap: every heap key — seed and fill alike — must be a
+    // post-move position, or the min-heap can pop slots out of pivot
+    // order and fold fill into an already-eliminated slot, silently
+    // corrupting U (the drift then surfaces pivots later as an
+    // infeasible "optimum").
+    order_.erase(order_.begin() + kp);
+    order_.push_back(p);
+    for (std::size_t k = static_cast<std::size_t>(kp); k < order_.size(); ++k) {
+      pos_[static_cast<std::size_t>(order_[k])] = static_cast<int>(k);
+    }
+
+    // The old row R's entries are about to be eliminated; they seed the
+    // accumulator. (Their user-list edges go stale — tolerated.)
+    acc_.clear();
+    while (!heap_.empty()) heap_.pop();
+    for (const auto& [s2, uv] : urow_[static_cast<std::size_t>(p)].off) {
+      acc_.set(s2, uv);
+      heap_.emplace(pos_[static_cast<std::size_t>(s2)], s2);
+      --current_nnz_;
+    }
+    urow_[static_cast<std::size_t>(p)].off.clear();
+
+    // Spike: the new column's entries land in U at column p. Rows other
+    // than R keep their position; the R entry is the prospective diagonal.
+    double diag = w.v[static_cast<std::size_t>(R)];
+    for (const int r : w.touched) {
+      if (r == R) continue;
+      const double v = w.v[static_cast<std::size_t>(r)];
+      if (std::abs(v) < kDropTol) continue;
+      const int t = slot_of_row_[static_cast<std::size_t>(r)];
+      urow_[static_cast<std::size_t>(t)].off.emplace_back(p, v);
+      users_[static_cast<std::size_t>(p)].push_back(t);
+      ++current_nnz_;
+    }
+
+    // Eliminate row R in pivot order. Fill lands only at LATER positions
+    // (off edges point forward), so each slot pops at most once.
+    LOp row_op;
+    row_op.pivot_row = R;
+    row_op.row_op = true;
+    while (!heap_.empty()) {
+      const int s = heap_.top().second;
+      heap_.pop();
+      const double val = acc_.v[static_cast<std::size_t>(s)];
+      if (std::abs(val) < kDropTol) continue;
+      const URow& u = urow_[static_cast<std::size_t>(s)];
+      const double mv = val / u.diag;
+      row_op.terms.emplace_back(u.row, mv);
+      for (const auto& [s2, uv] : u.off) {
+        if (s2 == p) {
+          diag -= mv * uv;
+        } else {
+          if (!acc_.mark[static_cast<std::size_t>(s2)]) {
+            heap_.emplace(pos_[static_cast<std::size_t>(s2)], s2);
+          }
+          acc_.add(s2, -mv * uv);
+        }
+      }
+    }
+    acc_.clear();
+    if (std::abs(diag) < kPivotEps) return false;
+    urow_[static_cast<std::size_t>(p)].row = R;
+    urow_[static_cast<std::size_t>(p)].diag = diag;
+    if (!row_op.terms.empty()) {
+      current_nnz_ += static_cast<long long>(row_op.terms.size());
+      lops_.push_back(std::move(row_op));
+    }
+    return true;
+  }
+
+  void init_scratch(int m) {
+    acc_.init(m);
+    reach_mark_.assign(static_cast<std::size_t>(m), 0);
+    reach_.reserve(static_cast<std::size_t>(m));
+    stack_.reserve(static_cast<std::size_t>(m));
+  }
+
+ private:
+  bool hyper_sparse(int touched) const {
+    return m_ >= kHyperSparseMinRows && touched * 10 < m_ * 3;
+  }
+
+  void apply_l(Scratch& w) const {
+    for (const LOp& op : lops_) {
+      if (op.row_op) {
+        double acc = 0.0;
+        bool any = false;
+        for (const auto& [i, mv] : op.terms) {
+          const double wi = w.v[static_cast<std::size_t>(i)];
+          if (wi != 0.0) {
+            acc += mv * wi;
+            any = true;
+          }
+        }
+        if (any) {
+          w.touch(op.pivot_row);
+          w.v[static_cast<std::size_t>(op.pivot_row)] -= acc;
+        }
+      } else {
+        const double wp = w.v[static_cast<std::size_t>(op.pivot_row)];
+        if (wp == 0.0) continue;
+        for (const auto& [i, mv] : op.terms) {
+          w.touch(i);
+          w.v[static_cast<std::size_t>(i)] -= mv * wp;
+        }
+      }
+    }
+  }
+
+  int m_ = 0;
+  std::vector<LOp> lops_;
+  std::vector<URow> urow_;       // slot -> its U row
+  std::vector<int> order_;       // pivot order: position -> slot
+  std::vector<int> pos_;         // slot -> position
+  std::vector<int> slot_of_row_; // pivot row -> slot
+  // users_[s]: slots whose U row references slot s (stale-edge tolerant;
+  // rebuilt exactly at factorize, appended-to by update).
+  std::vector<std::vector<int>> users_;
+  long long fresh_nnz_ = 0;
+  long long current_nnz_ = 0;
+
+  Scratch acc_;  // FT row-elimination accumulator (slot-indexed)
+  std::priority_queue<std::pair<int, int>, std::vector<std::pair<int, int>>,
+                      std::greater<std::pair<int, int>>>
+      heap_;
+  std::vector<int> stack_;
+  std::vector<int> reach_;
+  std::vector<char> reach_mark_;
+};
+
+class RevisedSimplex {
+ public:
+  // `dual_start` selects the dual layout: no row normalization (the slack
+  // basis starts at x_B = b, negative entries and all), no artificials,
+  // and native [0, u] variable bounds.
+  explicit RevisedSimplex(const LpProblem& problem, bool dual_start = false)
+      : dual_(dual_start),
+        m_(static_cast<int>(problem.constraints.size())),
+        n_(problem.num_vars) {
+    // Row normalization (primal only): rows with negative rhs are negated
+    // so the initial rhs is nonnegative; those rows carry an artificial
+    // (their negated slack cannot be basic at a feasible value). The dual
+    // start keeps rows as-is — a negative basic value is exactly what its
+    // iteration repairs.
+    artificial_row_.clear();
+    for (const LpConstraint& c : problem.constraints) {
+      max_abs_rhs_ = std::max(max_abs_rhs_, std::abs(c.rhs));
+    }
+    sign_.assign(static_cast<std::size_t>(m_), 1.0);
+    b_.assign(static_cast<std::size_t>(m_), 0.0);
+    for (int i = 0; i < m_; ++i) {
+      const double rhs = problem.constraints[static_cast<std::size_t>(i)].rhs;
+      if (!dual_ && rhs < -kEps) {
+        sign_[static_cast<std::size_t>(i)] = -1.0;
+        artificial_row_.push_back(i);
+      }
+      b_[static_cast<std::size_t>(i)] = sign_[static_cast<std::size_t>(i)] * rhs;
+    }
+    num_artificial_ = static_cast<int>(artificial_row_.size());
+    num_cols_ = n_ + m_ + num_artificial_;
+
+    // CSC for the structural columns, with the row signs folded in.
+    // Duplicate (row, var) terms are accumulated.
+    std::vector<std::vector<std::pair<int, double>>> cols(static_cast<std::size_t>(n_));
+    for (int i = 0; i < m_; ++i) {
+      const LpConstraint& c = problem.constraints[static_cast<std::size_t>(i)];
+      for (const auto& [var, coeff] : c.terms) {
+        if (var < 0 || var >= n_) throw Error("simplex: variable index out of range");
+        auto& col = cols[static_cast<std::size_t>(var)];
+        if (!col.empty() && col.back().first == i) {
+          col.back().second += sign_[static_cast<std::size_t>(i)] * coeff;
+        } else {
+          col.emplace_back(i, sign_[static_cast<std::size_t>(i)] * coeff);
+        }
+      }
+    }
+    col_start_.assign(static_cast<std::size_t>(n_) + 1, 0);
+    std::size_t nnz = 0;
+    for (int j = 0; j < n_; ++j) nnz += cols[static_cast<std::size_t>(j)].size();
+    row_idx_.reserve(nnz);
+    val_.reserve(nnz);
+    for (int j = 0; j < n_; ++j) {
+      col_start_[static_cast<std::size_t>(j)] = static_cast<int>(row_idx_.size());
+      for (const auto& [row, value] : cols[static_cast<std::size_t>(j)]) {
+        row_idx_.push_back(row);
+        val_.push_back(value);
+      }
+    }
+    col_start_[static_cast<std::size_t>(n_)] = static_cast<int>(row_idx_.size());
+
+    // Initial basis: the artificial on negated rows, the slack elsewhere.
+    basis_.assign(static_cast<std::size_t>(m_), -1);
+    in_basis_.assign(static_cast<std::size_t>(num_cols_), 0);
+    artificial_of_row_.assign(static_cast<std::size_t>(m_), -1);
+    for (int k = 0; k < num_artificial_; ++k) {
+      artificial_of_row_[static_cast<std::size_t>(artificial_row_[static_cast<std::size_t>(k)])] =
+          n_ + m_ + k;
+    }
+    for (int i = 0; i < m_; ++i) {
+      const int art = artificial_of_row_[static_cast<std::size_t>(i)];
+      basis_[static_cast<std::size_t>(i)] = art >= 0 ? art : n_ + i;
+      in_basis_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] = 1;
+    }
+    x_basic_.assign(static_cast<std::size_t>(m_), 0.0);
+    at_upper_.assign(static_cast<std::size_t>(num_cols_), 0);
+    upper_.assign(static_cast<std::size_t>(num_cols_),
+                  std::numeric_limits<double>::infinity());
+    working_.assign(static_cast<std::size_t>(num_cols_), 0);
+    spike_.init(m_);
+    alpha_.init(m_);
+    pr_in_.init(m_);
+    pr_out_.init(m_);
+    lu_.init_scratch(m_);
+  }
+
+  // Resets every field of a (possibly reused) LpSolution to its
+  // default-constructed state, so no exit path can leak a previous solve's
+  // x / objective / flags — the primal fallback re-solves into the
+  // solution a declined dual attempt already wrote.
+  static void reset(LpSolution& solution) {
+    solution.feasible = false;
+    solution.bounded = true;
+    solution.x.clear();
+    solution.objective = 0.0;
+    solution.stats = LpStats{};
+  }
+
+  // Runs both primal phases; fills `solution`. Entry resets the whole
+  // solution (stats included) so a reused LpSolution (or engine) never
+  // accumulates counters or carries stale fields across solves.
+  void solve(const LpProblem& problem, LpSolution& solution) {
+    reset(solution);
+    if (!refactorize(solution.stats)) {
+      throw Error("simplex: singular basis during refactorization");
+    }
+    --solution.stats.refactorizations;  // the trivial identity factorization
+    if (num_artificial_ > 0) {
+      std::vector<double> phase1(static_cast<std::size_t>(num_cols_), 0.0);
+      for (int j = n_ + m_; j < num_cols_; ++j) phase1[static_cast<std::size_t>(j)] = 1.0;
+      if (!minimize(phase1, solution.stats)) {
+        throw Error("simplex: phase 1 unbounded (bug)");
+      }
+      // Every pivot so far belongs to phase 1 — recorded BEFORE the
+      // feasibility verdict so an infeasible solve attributes its work
+      // correctly, then refreshed after the expel pivots.
+      solution.stats.phase1_pivots = solution.stats.iterations;
+      double artificial_sum = 0.0;
+      for (int i = 0; i < m_; ++i) {
+        if (basis_[static_cast<std::size_t>(i)] >= n_ + m_) {
+          artificial_sum += x_basic_[static_cast<std::size_t>(i)];
+        }
+      }
+      if (artificial_sum > kFeasEps) {
+        solution.feasible = false;
+        return;
+      }
+      expel_artificials(solution.stats);
+      solution.stats.phase1_pivots = solution.stats.iterations;
+    }
+
+    std::vector<double> phase2(static_cast<std::size_t>(num_cols_), 0.0);
+    for (int j = 0; j < n_; ++j) {
+      phase2[static_cast<std::size_t>(j)] = problem.objective[static_cast<std::size_t>(j)];
+    }
+    if (!minimize(phase2, solution.stats)) {
+      solution.feasible = true;
+      solution.bounded = false;
+      return;
+    }
+    extract(problem, solution);
+  }
+
+  // The dual iteration. Returns true when `solution` is
+  // authoritative (optimal, or infeasibility certified with no working
+  // bounds in play); false when the engine DECLINES — dual feasibility
+  // lost, a working bound active at the optimum, vanishing pivot, or
+  // stall — and the caller must rerun the unchanged problem through the
+  // primal path. Stats are reset at entry either way; on decline they
+  // carry the dual's spent work so the fallback can report it under the
+  // declined_* counters. On success, `warm` (if given) receives the final
+  // basis for the next same-shaped solve.
+  bool solve_dual(const LpProblem& problem, LpSolution& solution, LpWarmStart* warm) {
+    reset(solution);
+    std::vector<double> costs(static_cast<std::size_t>(num_cols_), 0.0);
+    for (int j = 0; j < n_; ++j) {
+      costs[static_cast<std::size_t>(j)] = problem.objective[static_cast<std::size_t>(j)];
+    }
+
+    // Bounds: the user's where finite, a working bound on every
+    // negative-cost column left unbounded — resting such a column at its
+    // (finite) upper bound is what makes the start dual-feasible.
+    const double working_rhs = kDualBoundScale * (1.0 + max_abs_rhs_);
+    bool have_working = false;
+    for (int j = 0; j < n_; ++j) {
+      if (!problem.upper.empty()) {
+        upper_[static_cast<std::size_t>(j)] = problem.upper[static_cast<std::size_t>(j)];
+      }
+      if (costs[static_cast<std::size_t>(j)] < -kEps &&
+          upper_[static_cast<std::size_t>(j)] == std::numeric_limits<double>::infinity()) {
+        upper_[static_cast<std::size_t>(j)] = working_rhs;
+        working_[static_cast<std::size_t>(j)] = 1;
+        have_working = true;
+      }
+    }
+
+    if (!try_warm_start(warm, costs, solution.stats)) {
+      // Cold all-slack start: negative-cost columns at their upper bound,
+      // everything else at zero — dual-feasible by construction.
+      for (int i = 0; i < m_; ++i) basis_[static_cast<std::size_t>(i)] = n_ + i;
+      std::fill(in_basis_.begin(), in_basis_.end(), 0);
+      for (int i = 0; i < m_; ++i) in_basis_[static_cast<std::size_t>(n_ + i)] = 1;
+      for (int j = 0; j < num_cols_; ++j) {
+        at_upper_[static_cast<std::size_t>(j)] =
+            (j < n_ && costs[static_cast<std::size_t>(j)] < -kEps) ? 1 : 0;
+      }
+      if (!refactorize(solution.stats)) return false;  // cannot happen: identity
+      --solution.stats.refactorizations;  // the trivial identity factorization
     }
 
     int degenerate_streak = 0;
     bool bland = false;
-    for (int guard = 0; guard < 100000; ++guard) {
-      // Dantzig's rule (most negative reduced cost, ties to the lowest
-      // index); Bland's rule (lowest index with a negative reduced cost)
-      // once a degenerate-pivot streak suggests cycling.
-      int entering = -1;
-      double most_negative = -kEps;
-      for (int j = 0; j < cols_ - 1; ++j) {
-        const double d = objective_[static_cast<std::size_t>(j)];
-        if (d >= (bland ? -kEps : most_negative)) continue;
-        entering = j;
-        if (bland) break;
-        most_negative = d;
-      }
-      if (entering < 0) return true;  // optimal
-
-      // Ratio test; ties broken by lowest basis index (Bland).
-      int leaving = -1;
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const double a = rows_[i][static_cast<std::size_t>(entering)];
-        if (a <= kEps) continue;
-        const double ratio = rows_[i][static_cast<std::size_t>(cols_ - 1)] / a;
-        if (ratio < best - kEps ||
-            (ratio < best + kEps && (leaving < 0 || basis_[i] < basis_[static_cast<std::size_t>(
-                                                                  leaving)]))) {
-          best = ratio;
-          leaving = static_cast<int>(i);
+    std::vector<double> y(static_cast<std::size_t>(m_), 0.0);    // duals c_B B^-1
+    std::vector<double> rho(static_cast<std::size_t>(m_), 0.0);  // pivot row e_r B^-1
+    struct Candidate {
+      int col;
+      double alpha;  // pivot-row entry (sign as computed)
+      double ratio;  // |d| / |alpha|
+    };
+    std::vector<Candidate> candidates;
+    for (int guard = 0; guard < 200000; ++guard) {
+      // Leaving row: largest bound violation — below zero or above upper —
+      // the dual analogue of Dantzig pricing; ties to the lowest basis
+      // index for determinism.
+      int r = -1;
+      bool upper_leave = false;
+      double best_viol = kFeasEps;
+      for (int i = 0; i < m_; ++i) {
+        const double v = x_basic_[static_cast<std::size_t>(i)];
+        const double u = upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        double viol;
+        bool from_upper;
+        if (v < 0.0) {
+          viol = -v;
+          from_upper = false;
+        } else if (v > u) {
+          viol = v - u;
+          from_upper = true;
+        } else {
+          continue;
+        }
+        if (viol > best_viol + kEps ||
+            (viol > best_viol - kEps && r >= 0 &&
+             basis_[static_cast<std::size_t>(i)] < basis_[static_cast<std::size_t>(r)])) {
+          best_viol = std::max(best_viol, viol);
+          r = i;
+          upper_leave = from_upper;
         }
       }
-      if (leaving < 0) return false;  // unbounded
-      pivot(static_cast<std::size_t>(leaving), entering);
-      ++stats.iterations;
+      if (r < 0) {
+        // Primal feasible + dual feasible = optimal — unless a working
+        // bound carried the optimum, in which case the answer belongs to
+        // the primal engine.
+        if (have_working && working_bound_active()) return false;
+        extract_dual(problem, solution);
+        save_warm(warm);
+        return true;
+      }
+
+      // Duals y = c_B B^-1 and the BTRANed pivot row rho = e_r B^-1.
+      for (int i = 0; i < m_; ++i) {
+        const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        if (cb != 0.0) pr_in_.set(i, cb);
+      }
+      lu_.btran(pr_in_, pr_out_);
+      y = pr_out_.v;
+      pr_out_.clear();
+      pr_in_.set(r, 1.0);
+      lu_.btran(pr_in_, pr_out_);
+      rho = pr_out_.v;
+      pr_out_.clear();
+
+      // Bounded-variable dual ratio test. e is the signed violation. An
+      // at-lower column enters by INCREASING from 0 (x_B -= t B^-1 a_q),
+      // so driving x_B[r] onto its bound needs t = e / alpha >= 0, i.e.
+      // e and alpha share a sign; an at-upper column enters by DECREASING
+      // from its bound (x_B += t B^-1 a_q), needing t = -e / alpha >= 0,
+      // i.e. opposite signs. Both give the uniform ratio |d| / |alpha|.
+      const double e = upper_leave
+                           ? x_basic_[static_cast<std::size_t>(r)] -
+                                 upper_[static_cast<std::size_t>(
+                                     basis_[static_cast<std::size_t>(r)])]
+                           : x_basic_[static_cast<std::size_t>(r)];
+      candidates.clear();
+      double limit = std::numeric_limits<double>::infinity();
+      double exact_min = std::numeric_limits<double>::infinity();
+      for (int j = 0; j < n_ + m_; ++j) {
+        if (in_basis_[static_cast<std::size_t>(j)]) continue;
+        const bool up = at_upper_[static_cast<std::size_t>(j)] != 0;
+        double d = costs[static_cast<std::size_t>(j)] - dot_column(j, y);
+        // Dual feasibility: at-lower needs d >= 0, at-upper d <= 0.
+        if (up ? d > kDualFeasEps : d < -kDualFeasEps) return false;
+        d = up ? std::min(d, 0.0) : std::max(d, 0.0);
+        const double alpha = dot_column(j, rho);
+        const bool eligible = up ? e * alpha < -kEps : e * alpha > kEps;
+        if (!eligible) continue;
+        const double mag = std::abs(alpha);
+        const double ratio = std::abs(d) / mag;
+        candidates.push_back({j, alpha, ratio});
+        // Pass 1 (Harris): the relaxed bound every admitted pivot must
+        // respect — no candidate's reduced cost may overshoot by more
+        // than kHarrisTol.
+        limit = std::min(limit, (std::abs(d) + kHarrisTol) / mag);
+        exact_min = std::min(exact_min, ratio);
+      }
+      if (candidates.empty()) {
+        // The row certifies primal infeasibility (a dual ray) — but only
+        // when no working bound could have absorbed the ray: with working
+        // bounds in play the primal engine re-decides.
+        if (have_working) return false;
+        solution.feasible = false;
+        return true;
+      }
+
+      // Pass 2 (Harris): inside the relaxed set take the largest pivot
+      // element — numerical stability over textbook minimality; under the
+      // anti-cycling fallback, the lowest column index inside the EXACT
+      // minimal-ratio set.
+      int entering = -1;
+      double best_alpha = 0.0;
+      for (const Candidate& c : candidates) {
+        if (bland) {
+          if (c.ratio <= exact_min + kEps && (entering < 0 || c.col < entering)) {
+            entering = c.col;
+          }
+          continue;
+        }
+        const double mag = std::abs(c.alpha);
+        if (c.ratio <= limit &&
+            (entering < 0 || mag > best_alpha || (mag == best_alpha && c.col < entering))) {
+          entering = c.col;
+          best_alpha = mag;
+        }
+      }
+      if (entering < 0) return false;
+      if (!bland && best_alpha < kStablePivotTol) {
+        // Every admissible pivot is numerically parallel to the leaving
+        // row; updating the factorization with one would seed it with a
+        // near-singular spike. Decline — the primal engine re-solves from
+        // scratch.
+        return false;
+      }
+      const double theta = exact_min;  // the dual step length
+
+      // FTRAN the entering column and cross-check the pivot element the
+      // BTRANed row promised: a vanished or flipped pivot is numerical
+      // trouble; decline.
+      const bool entering_up = at_upper_[static_cast<std::size_t>(entering)] != 0;
+      double alpha_row = 0.0;
+      for (const Candidate& c : candidates) {
+        if (c.col == entering) {
+          alpha_row = c.alpha;
+          break;
+        }
+      }
+      load_column(entering, spike_);
+      lu_.ftran(spike_, alpha_, &solution.stats);
+      const double a_rq = alpha_.v[static_cast<std::size_t>(r)];
+      if (std::abs(a_rq) < kStablePivotTol || a_rq * alpha_row <= 0.0) {
+        spike_.clear();
+        alpha_.clear();
+        return false;
+      }
+
+      // Step: drive x_B[r] exactly onto its violated bound. An at-lower
+      // entering column increases from 0 by t; an at-upper one decreases
+      // from its bound by t — both t >= 0 up to roundoff.
+      const double t = entering_up ? -e / a_rq : e / a_rq;
+      const double dir = entering_up ? 1.0 : -1.0;
+      for (const int i : alpha_.touched) {
+        if (i == r) continue;
+        double& xv = x_basic_[static_cast<std::size_t>(i)];
+        xv += dir * t * alpha_.v[static_cast<std::size_t>(i)];
+        if (xv < 0.0 && xv > -kFeasEps) xv = 0.0;
+        const double u = upper_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        if (xv > u && xv < u + kFeasEps) xv = u;
+      }
+      double enter_val = entering_up ? upper_[static_cast<std::size_t>(entering)] - t : t;
+      if (enter_val < 0.0 && enter_val > -kFeasEps) enter_val = 0.0;
+
+      // The leaving column exits at the bound it violated.
+      const int leaving = basis_[static_cast<std::size_t>(r)];
+      in_basis_[static_cast<std::size_t>(leaving)] = 0;
+      at_upper_[static_cast<std::size_t>(leaving)] = upper_leave ? 1 : 0;
+      in_basis_[static_cast<std::size_t>(entering)] = 1;
+      at_upper_[static_cast<std::size_t>(entering)] = 0;
+      basis_[static_cast<std::size_t>(r)] = entering;
+      x_basic_[static_cast<std::size_t>(r)] = enter_val;
+
+      ++solution.stats.iterations;
+      ++solution.stats.dual_pivots;
+      if (bland) ++solution.stats.bland_pivots;
+      const bool lu_ok = lu_.update(r, spike_);
+      spike_.clear();
+      alpha_.clear();
+      ++pivots_since_refactor_;
+      if (!lu_ok || pivots_since_refactor_ >= kRefactorInterval || lu_.growth_exceeded()) {
+        if (lu_ok && pivots_since_refactor_ < kRefactorInterval) {
+          ++solution.stats.nnz_refactorizations;
+        }
+        if (!refactorize(solution.stats)) return false;  // singular: decline
+      }
+      if (theta <= kEps) {
+        ++solution.stats.degenerate_pivots;
+        if (++degenerate_streak >= kDegeneratePivotStreak) bland = true;
+      } else {
+        degenerate_streak = 0;
+        bland = false;
+      }
+    }
+    return false;  // stall: let the primal engine finish rather than throw
+  }
+
+ private:
+  // Rebuilds the structural solution vector and its objective value from
+  // the basic values (the primal exit; nonbasic columns sit at zero).
+  void extract(const LpProblem& problem, LpSolution& solution) const {
+    solution.feasible = true;
+    solution.x.assign(static_cast<std::size_t>(n_), 0.0);
+    for (int i = 0; i < m_; ++i) {
+      const int j = basis_[static_cast<std::size_t>(i)];
+      if (j < n_) {
+        solution.x[static_cast<std::size_t>(j)] =
+            std::max(0.0, x_basic_[static_cast<std::size_t>(i)]);
+      }
+    }
+    solution.objective = 0.0;
+    for (int j = 0; j < n_; ++j) {
+      solution.objective +=
+          problem.objective[static_cast<std::size_t>(j)] * solution.x[static_cast<std::size_t>(j)];
+    }
+  }
+
+  // The dual exit: nonbasic columns sit at whichever bound their status
+  // says; basic values are clamped into their (finite) box by kFeasEps.
+  void extract_dual(const LpProblem& problem, LpSolution& solution) const {
+    solution.feasible = true;
+    solution.bounded = true;
+    solution.x.assign(static_cast<std::size_t>(n_), 0.0);
+    for (int j = 0; j < n_; ++j) {
+      if (!in_basis_[static_cast<std::size_t>(j)] && at_upper_[static_cast<std::size_t>(j)]) {
+        solution.x[static_cast<std::size_t>(j)] = upper_[static_cast<std::size_t>(j)];
+      }
+    }
+    for (int i = 0; i < m_; ++i) {
+      const int j = basis_[static_cast<std::size_t>(i)];
+      if (j >= n_) continue;
+      double v = std::max(0.0, x_basic_[static_cast<std::size_t>(i)]);
+      v = std::min(v, upper_[static_cast<std::size_t>(j)]);
+      solution.x[static_cast<std::size_t>(j)] = v;
+    }
+    solution.objective = 0.0;
+    for (int j = 0; j < n_; ++j) {
+      solution.objective +=
+          problem.objective[static_cast<std::size_t>(j)] * solution.x[static_cast<std::size_t>(j)];
+    }
+  }
+
+  // True when a WORKING bound constrains the reported optimum: a nonbasic
+  // working column resting at it, or a basic one within
+  // kDualBoundSlackFrac of it. The real problem wanted to push further
+  // (often: it is unbounded), so the primal engine must re-decide.
+  bool working_bound_active() const {
+    for (int j = 0; j < n_; ++j) {
+      if (!working_[static_cast<std::size_t>(j)]) continue;
+      if (!in_basis_[static_cast<std::size_t>(j)]) {
+        if (at_upper_[static_cast<std::size_t>(j)]) return true;
+        continue;
+      }
+      for (int i = 0; i < m_; ++i) {
+        if (basis_[static_cast<std::size_t>(i)] != j) continue;
+        if (x_basic_[static_cast<std::size_t>(i)] >
+            (1.0 - kDualBoundSlackFrac) * upper_[static_cast<std::size_t>(j)]) {
+          return true;
+        }
+        break;
+      }
+    }
+    return false;
+  }
+
+  // Adopts a carried LpWarmStart when its shape matches and the basis both
+  // factorizes and prices dual-feasible. Returns false (leaving the engine
+  // ready for a cold start) otherwise. `warm_attempted` counts shapes that
+  // matched; `warm_accepted` the adoptions.
+  bool try_warm_start(const LpWarmStart* warm, const std::vector<double>& costs, LpStats& stats) {
+    if (warm == nullptr || !warm->valid()) return false;
+    if (warm->num_rows != m_ || warm->num_vars != n_ ||
+        static_cast<int>(warm->at_upper.size()) != num_cols_) {
+      return false;
+    }
+    ++stats.warm_attempted;
+    std::vector<char> seen(static_cast<std::size_t>(num_cols_), 0);
+    for (const int j : warm->basis) {
+      if (j < 0 || j >= num_cols_ || seen[static_cast<std::size_t>(j)]) return false;
+      seen[static_cast<std::size_t>(j)] = 1;
+    }
+    for (int j = 0; j < num_cols_; ++j) {
+      // A carried at-upper status needs a finite bound to rest on; losing
+      // the bound (a cost flipped sign between rounds) voids the basis.
+      if (warm->at_upper[static_cast<std::size_t>(j)] && !seen[static_cast<std::size_t>(j)] &&
+          upper_[static_cast<std::size_t>(j)] == std::numeric_limits<double>::infinity()) {
+        return false;
+      }
+    }
+    basis_ = warm->basis;
+    std::fill(in_basis_.begin(), in_basis_.end(), 0);
+    for (const int j : basis_) in_basis_[static_cast<std::size_t>(j)] = 1;
+    for (int j = 0; j < num_cols_; ++j) {
+      at_upper_[static_cast<std::size_t>(j)] =
+          (!in_basis_[static_cast<std::size_t>(j)] && warm->at_upper[static_cast<std::size_t>(j)])
+              ? 1
+              : 0;
+    }
+    if (!refactorize(stats)) return false;  // singular carried basis
+    // Dual feasibility of the carried basis under THIS round's costs.
+    for (int i = 0; i < m_; ++i) {
+      const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+      if (cb != 0.0) pr_in_.set(i, cb);
+    }
+    lu_.btran(pr_in_, pr_out_);
+    bool feasible = true;
+    for (int j = 0; j < n_ + m_ && feasible; ++j) {
+      if (in_basis_[static_cast<std::size_t>(j)]) continue;
+      const double d = costs[static_cast<std::size_t>(j)] - dot_column(j, pr_out_.v);
+      if (at_upper_[static_cast<std::size_t>(j)] ? d > kDualFeasEps : d < -kDualFeasEps) {
+        feasible = false;
+      }
+    }
+    pr_out_.clear();
+    if (!feasible) return false;
+    ++stats.warm_accepted;
+    return true;
+  }
+
+  void save_warm(LpWarmStart* warm) const {
+    if (warm == nullptr) return;
+    warm->basis = basis_;
+    warm->at_upper.assign(at_upper_.begin(), at_upper_.end());
+    warm->num_vars = n_;
+    warm->num_rows = m_;
+  }
+
+  // --- column access -------------------------------------------------------
+
+  // w += column j of the (normalized) constraint matrix.
+  void load_column(int j, Scratch& w) const {
+    if (j < n_) {
+      for (int k = col_start_[static_cast<std::size_t>(j)];
+           k < col_start_[static_cast<std::size_t>(j) + 1]; ++k) {
+        w.add(row_idx_[static_cast<std::size_t>(k)], val_[static_cast<std::size_t>(k)]);
+      }
+    } else if (j < n_ + m_) {
+      const int row = j - n_;
+      w.add(row, sign_[static_cast<std::size_t>(row)]);
+    } else {
+      w.add(artificial_row_[static_cast<std::size_t>(j - n_ - m_)], 1.0);
+    }
+  }
+
+  // y . a_j without materializing the column; y is a row-indexed dense
+  // vector (a Scratch's value array qualifies).
+  double dot_column(int j, const std::vector<double>& y) const {
+    if (j < n_) {
+      double acc = 0.0;
+      for (int k = col_start_[static_cast<std::size_t>(j)];
+           k < col_start_[static_cast<std::size_t>(j) + 1]; ++k) {
+        acc += y[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(k)])] *
+               val_[static_cast<std::size_t>(k)];
+      }
+      return acc;
+    }
+    if (j < n_ + m_) {
+      const int row = j - n_;
+      return y[static_cast<std::size_t>(row)] * sign_[static_cast<std::size_t>(row)];
+    }
+    return y[static_cast<std::size_t>(artificial_row_[static_cast<std::size_t>(j - n_ - m_)])];
+  }
+
+  // --- factorization lifecycle --------------------------------------------
+
+  // Fresh Markowitz LU of the current basis; recomputes the basic values
+  // from scratch (discarding update drift). Returns false on a
+  // numerically singular basis — the primal path throws on that, the dual
+  // path declines, a warm start falls back to cold.
+  bool refactorize(LpStats& stats) {
+    ++stats.refactorizations;
+    const bool ok = lu_.factorize(m_, [this](int slot, std::vector<std::pair<int, double>>& out) {
+      out.clear();
+      const int j = basis_[static_cast<std::size_t>(slot)];
+      if (j < n_) {
+        for (int k = col_start_[static_cast<std::size_t>(j)];
+             k < col_start_[static_cast<std::size_t>(j) + 1]; ++k) {
+          out.emplace_back(row_idx_[static_cast<std::size_t>(k)],
+                           val_[static_cast<std::size_t>(k)]);
+        }
+      } else if (j < n_ + m_) {
+        out.emplace_back(j - n_, sign_[static_cast<std::size_t>(j - n_)]);
+      } else {
+        out.emplace_back(artificial_row_[static_cast<std::size_t>(j - n_ - m_)], 1.0);
+      }
+    });
+    if (!ok) return false;
+    compute_basic_values();
+    pivots_since_refactor_ = 0;
+    return true;
+  }
+
+  // x_B = B^-1 (b - sum of at-upper nonbasic columns at their bounds).
+  void compute_basic_values() {
+    for (int i = 0; i < m_; ++i) {
+      if (b_[static_cast<std::size_t>(i)] != 0.0) spike_.set(i, b_[static_cast<std::size_t>(i)]);
+    }
+    if (dual_) {
+      for (int j = 0; j < num_cols_; ++j) {
+        if (!at_upper_[static_cast<std::size_t>(j)] || in_basis_[static_cast<std::size_t>(j)]) {
+          continue;
+        }
+        const double u = upper_[static_cast<std::size_t>(j)];
+        if (j < n_) {
+          for (int k = col_start_[static_cast<std::size_t>(j)];
+               k < col_start_[static_cast<std::size_t>(j) + 1]; ++k) {
+            spike_.add(row_idx_[static_cast<std::size_t>(k)],
+                       -u * val_[static_cast<std::size_t>(k)]);
+          }
+        } else {
+          spike_.add(j - n_, -u * sign_[static_cast<std::size_t>(j - n_)]);
+        }
+      }
+    }
+    lu_.ftran(spike_, alpha_, nullptr);
+    std::fill(x_basic_.begin(), x_basic_.end(), 0.0);
+    for (const int s : alpha_.touched) {
+      x_basic_[static_cast<std::size_t>(s)] = alpha_.v[static_cast<std::size_t>(s)];
+    }
+    if (!dual_) {
+      for (double& v : x_basic_) {
+        if (v < 0.0 && v > -kFeasEps) v = 0.0;
+      }
+    }
+    spike_.clear();
+    alpha_.clear();
+  }
+
+  // --- the primal simplex loop ---------------------------------------------
+
+  bool minimize(const std::vector<double>& costs, LpStats& stats) {
+    int degenerate_streak = 0;
+    bool bland = false;
+    for (int guard = 0; guard < 200000; ++guard) {
+      // Pricing: y = c_B B^-1 (one BTRAN), then one pass over the columns.
+      for (int i = 0; i < m_; ++i) {
+        const double cb = costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+        if (cb != 0.0) pr_in_.set(i, cb);
+      }
+      lu_.btran(pr_in_, pr_out_);
+      int entering = -1;
+      double most_negative = -kEps;
+      for (int j = 0; j < n_ + m_; ++j) {
+        if (in_basis_[static_cast<std::size_t>(j)]) continue;
+        const double d = costs[static_cast<std::size_t>(j)] - dot_column(j, pr_out_.v);
+        if (d >= -kEps) continue;
+        if (bland) {
+          // Anti-cycling: the lowest eligible index, Dantzig aside.
+          entering = j;
+          break;
+        }
+        if (d >= most_negative) continue;
+        entering = j;
+        most_negative = d;
+      }
+      pr_out_.clear();
+      if (entering < 0) return true;  // optimal
+
+      // FTRAN the entering column; the ratio test walks its nonzeros only.
+      load_column(entering, spike_);
+      lu_.ftran(spike_, alpha_, &stats);
+      int leaving = -1;
+      double best = std::numeric_limits<double>::infinity();
+      for (const int i : alpha_.touched) {
+        const double a = alpha_.v[static_cast<std::size_t>(i)];
+        if (a <= kEps) continue;
+        const double ratio = std::max(0.0, x_basic_[static_cast<std::size_t>(i)]) / a;
+        if (ratio < best - kEps ||
+            (ratio < best + kEps &&
+             (leaving < 0 || basis_[static_cast<std::size_t>(i)] <
+                                 basis_[static_cast<std::size_t>(leaving)]))) {
+          best = ratio;
+          leaving = i;
+        }
+      }
+      if (leaving < 0) {
+        spike_.clear();
+        alpha_.clear();
+        return false;  // unbounded
+      }
+
+      pivot(entering, leaving, best, stats);
       if (bland) ++stats.bland_pivots;
       if (best <= kEps) {
         ++stats.degenerate_pivots;
@@ -124,97 +1357,106 @@ class Tableau {
     throw Error("simplex: iteration limit exceeded");
   }
 
-  double value(int var) const {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (basis_[i] == var) return rows_[i][static_cast<std::size_t>(cols_ - 1)];
-    }
-    return 0.0;
-  }
-
-  bool artificials_zero() const {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (basis_[i] >= num_structural_ + num_slack_ &&
-          rows_[i][static_cast<std::size_t>(cols_ - 1)] > 1e-7) {
-        return false;
+  // Applies the pivot described by the FTRANed entering column (alpha_,
+  // with its L-stage spike still in spike_), then updates the
+  // factorization and releases the scratches. Primal-only: throws on a
+  // singular refactorization.
+  void pivot(int entering, int leaving_slot, double step, LpStats& stats) {
+    if (step != 0.0) {
+      for (const int i : alpha_.touched) {
+        double& xv = x_basic_[static_cast<std::size_t>(i)];
+        xv -= step * alpha_.v[static_cast<std::size_t>(i)];
+        if (xv < 0.0 && xv > -kFeasEps) xv = 0.0;
       }
     }
-    return true;
-  }
-
-  int num_structural() const { return num_structural_; }
-  int num_slack() const { return num_slack_; }
-  int num_artificial() const { return num_artificial_; }
-  int cols() const { return cols_; }
-
-  // Drives any artificial still in the basis (at value 0) out, so phase 2
-  // cannot reintroduce infeasibility.
-  void expel_artificials() {
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (basis_[i] < num_structural_ + num_slack_) continue;
-      for (int j = 0; j < num_structural_ + num_slack_; ++j) {
-        if (std::abs(rows_[i][static_cast<std::size_t>(j)]) > kEps) {
-          pivot(i, j);
-          break;
-        }
+    x_basic_[static_cast<std::size_t>(leaving_slot)] = step;
+    in_basis_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(leaving_slot)])] = 0;
+    in_basis_[static_cast<std::size_t>(entering)] = 1;
+    basis_[static_cast<std::size_t>(leaving_slot)] = entering;
+    ++stats.iterations;
+    const bool lu_ok = lu_.update(leaving_slot, spike_);
+    spike_.clear();
+    alpha_.clear();
+    ++pivots_since_refactor_;
+    if (!lu_ok || pivots_since_refactor_ >= kRefactorInterval || lu_.growth_exceeded()) {
+      if (lu_ok && pivots_since_refactor_ < kRefactorInterval) {
+        ++stats.nnz_refactorizations;
+      }
+      if (!refactorize(stats)) {
+        throw Error("simplex: singular basis during refactorization");
       }
     }
   }
 
-  // Zeroes every expelled artificial column: a zero column with zero cost
-  // always prices at exactly zero, so phase 2 can never pivot an artificial
-  // back in — unlike a big-M cost, which a real variable with a larger
-  // objective magnitude can swamp. An artificial still basic after
-  // expel_artificials() sits in a redundant all-zero row at value 0; its
-  // unit column is kept so the basis stays consistent, and that row can
-  // never win the ratio test.
-  void drop_artificials() {
-    for (int j = num_structural_ + num_slack_; j < cols_ - 1; ++j) {
-      bool basic = false;
-      for (const int b : basis_) {
-        if (b == j) {
-          basic = true;
-          break;
-        }
+  // Drives every artificial still basic (necessarily at value 0 after a
+  // feasible phase 1) out of the basis by a degenerate pivot on the lowest
+  // eligible real column. Rows with no eligible column are redundant: the
+  // artificial stays, and because its tableau row is identically zero over
+  // the real columns, no later FTRANed column can touch it.
+  void expel_artificials(LpStats& stats) {
+    for (int r = 0; r < m_; ++r) {
+      if (basis_[static_cast<std::size_t>(r)] < n_ + m_) continue;
+      pr_in_.set(r, 1.0);
+      lu_.btran(pr_in_, pr_out_);  // pr_out_ = row r of B^-1
+      int enter = -1;
+      for (int j = 0; j < n_ + m_; ++j) {
+        if (in_basis_[static_cast<std::size_t>(j)]) continue;
+        if (std::abs(dot_column(j, pr_out_.v)) <= kEps) continue;
+        enter = j;
+        break;
       }
-      if (basic) continue;
-      for (auto& row : rows_) row[static_cast<std::size_t>(j)] = 0.0;
+      pr_out_.clear();
+      if (enter < 0) continue;
+      load_column(enter, spike_);
+      lu_.ftran(spike_, alpha_, &stats);
+      pivot(enter, r, 0.0, stats);
     }
   }
 
- private:
-  void pivot(std::size_t row, int col) {
-    auto& pivot_row = rows_[row];
-    const double p = pivot_row[static_cast<std::size_t>(col)];
-    for (double& v : pivot_row) v /= p;
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      if (i == row) continue;
-      const double factor = rows_[i][static_cast<std::size_t>(col)];
-      if (std::abs(factor) < kEps) continue;
-      for (int j = 0; j < cols_; ++j) {
-        rows_[i][static_cast<std::size_t>(j)] -= factor * pivot_row[static_cast<std::size_t>(j)];
-      }
-    }
-    const double factor = objective_[static_cast<std::size_t>(col)];
-    if (std::abs(factor) > kEps) {
-      for (int j = 0; j < cols_; ++j) {
-        objective_[static_cast<std::size_t>(j)] -= factor * pivot_row[static_cast<std::size_t>(j)];
-      }
-    }
-    basis_[row] = col;
-  }
+  bool dual_ = false;
 
-  int num_structural_ = 0;
-  int num_slack_ = 0;
+  int m_ = 0;
+  int n_ = 0;
   int num_artificial_ = 0;
-  int cols_ = 0;
-  std::vector<std::vector<double>> rows_;
-  std::vector<double> objective_;
-  std::vector<int> basis_;
+  int num_cols_ = 0;
+  double max_abs_rhs_ = 0.0;
+
+  std::vector<double> sign_;
+  std::vector<double> b_;
+  std::vector<int> artificial_row_;      // artificial k -> its row
+  std::vector<int> artificial_of_row_;   // row -> artificial column, or -1
+  std::vector<int> col_start_;           // CSC, structural columns only
+  std::vector<int> row_idx_;
+  std::vector<double> val_;
+
+  std::vector<int> basis_;     // slot -> basic column (stable across refactors)
+  std::vector<char> in_basis_;
+  std::vector<double> x_basic_;         // slot-indexed basic values
+  std::vector<char> at_upper_;          // nonbasic-at-upper status (dual)
+  std::vector<double> upper_;           // per-column upper bound (dual)
+  std::vector<char> working_;           // bound is artificial (dual)
+  LuBasis lu_;
+  int pivots_since_refactor_ = 0;
+
+  Scratch spike_;   // row-indexed FTRAN rhs / L-stage image
+  Scratch alpha_;   // slot-indexed FTRAN result
+  Scratch pr_in_;   // slot-indexed BTRAN rhs
+  Scratch pr_out_;  // row-indexed BTRAN result
 };
 
 }  // namespace
 
-namespace detail {
+// Every public entry point validates here, so the engines can index the
+// objective and bounds freely.
+void check_problem_shape(const LpProblem& problem) {
+  if (static_cast<int>(problem.objective.size()) != problem.num_vars) {
+    throw Error("simplex: objective size does not match variable count");
+  }
+  if (!problem.upper.empty() &&
+      static_cast<int>(problem.upper.size()) != problem.num_vars) {
+    throw Error("simplex: upper bound vector size does not match variable count");
+  }
+}
 
 bool has_finite_upper(const LpProblem& problem) {
   for (const double u : problem.upper) {
@@ -242,93 +1484,65 @@ LpProblem upper_bounds_as_rows(const LpProblem& problem) {
   return boxed;
 }
 
-}  // namespace detail
+namespace {
 
-LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
-  return solve_lp(problem, options.method, options.pricing);
+// The primal engine into `solution`, which may hold a declined dual
+// attempt's state: RevisedSimplex::solve resets every field first.
+void solve_primal_into(const LpProblem& problem, LpSolution& solution) {
+  const auto start = std::chrono::steady_clock::now();
+  if (has_finite_upper(problem)) {
+    // The primal engine has no bounded-variable machinery; it solves the
+    // row-augmented equivalent (same objective, same x).
+    const LpProblem boxed = upper_bounds_as_rows(problem);
+    RevisedSimplex engine(boxed);
+    engine.solve(boxed, solution);
+  } else {
+    RevisedSimplex engine(problem);
+    engine.solve(problem, solution);
+  }
+  solution.stats.wall_ms = elapsed_ms(start);
 }
 
-LpSolution solve_lp(const LpProblem& problem, const LpOptions& options, LpWarmStart* warm) {
-  if (options.method != LpMethod::kSparseDual) {
-    // Only the dual engine can adopt a basis; a primal solve also cannot
-    // refresh the handle, so it must not survive to mislead a later round.
-    if (warm != nullptr) warm->clear();
-    return solve_lp(problem, options.method, options.pricing);
-  }
-  if (static_cast<int>(problem.objective.size()) != problem.num_vars) {
-    throw Error("simplex: objective size does not match variable count");
-  }
-  if (!problem.upper.empty() &&
-      static_cast<int>(problem.upper.size()) != problem.num_vars) {
-    throw Error("simplex: upper bound vector size does not match variable count");
-  }
+}  // namespace
+
+LpSolution solve_lp_primal(const LpProblem& problem) {
+  check_problem_shape(problem);
   LpSolution solution;
-  detail::solve_lp_sparse_dual_into(problem, options.pricing, solution, warm);
+  solve_primal_into(problem, solution);
   return solution;
 }
 
-LpSolution solve_lp(const LpProblem& problem, LpMethod method, LpPricing pricing) {
-  if (static_cast<int>(problem.objective.size()) != problem.num_vars) {
-    throw Error("simplex: objective size does not match variable count");
-  }
-  if (!problem.upper.empty() &&
-      static_cast<int>(problem.upper.size()) != problem.num_vars) {
-    throw Error("simplex: upper bound vector size does not match variable count");
-  }
-  if (method == LpMethod::kSparseRevised) return detail::solve_lp_sparse(problem, pricing);
-  if (method == LpMethod::kSparseDual) return detail::solve_lp_sparse_dual(problem, pricing);
-  // The dense tableau is the equivalence baseline: it always prices
-  // Dantzig, whatever `pricing` asks for. It has no bounded-variable
-  // machinery, so bounded instances solve the row-augmented equivalent.
-  if (detail::has_finite_upper(problem)) {
-    return solve_lp(detail::upper_bounds_as_rows(problem), method, pricing);
-  }
+}  // namespace rsg::compact::detail
 
+namespace rsg::compact {
+
+LpSolution solve_lp(const LpProblem& problem, LpWarmStart* warm) {
+  detail::check_problem_shape(problem);
   LpSolution solution;
-  Tableau tableau(problem);
-
-  if (tableau.num_artificial() > 0) {
-    // Phase 1: minimize the artificial sum.
-    std::vector<double> phase1(static_cast<std::size_t>(tableau.cols() - 1), 0.0);
-    for (int j = tableau.num_structural() + tableau.num_slack(); j < tableau.cols() - 1; ++j) {
-      phase1[static_cast<std::size_t>(j)] = 1.0;
-    }
-    if (!tableau.minimize(phase1, solution.stats)) {
-      throw Error("simplex: phase 1 unbounded (bug)");
-    }
-    // Recorded before the feasibility verdict: an infeasible solve's
-    // pivots were all phase-1 work too.
-    solution.stats.phase1_pivots = solution.stats.iterations;
-    if (!tableau.artificials_zero()) {
-      solution.feasible = false;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    detail::RevisedSimplex engine(problem, /*dual_start=*/true);
+    if (engine.solve_dual(problem, solution, warm)) {
+      solution.stats.wall_ms = detail::elapsed_ms(start);
       return solution;
     }
-    tableau.expel_artificials();
-    tableau.drop_artificials();
   }
-
-  // Phase 2: the real objective. The artificial columns were zeroed above
-  // and cost zero here, so they can never re-enter the basis.
-  std::vector<double> phase2(static_cast<std::size_t>(tableau.cols() - 1), 0.0);
-  for (int j = 0; j < problem.num_vars; ++j) {
-    phase2[static_cast<std::size_t>(j)] = problem.objective[static_cast<std::size_t>(j)];
-  }
-  if (!tableau.minimize(phase2, solution.stats)) {
-    solution.feasible = true;
-    solution.bounded = false;
-    return solution;
-  }
-
-  solution.feasible = true;
-  solution.x.resize(static_cast<std::size_t>(problem.num_vars));
-  for (int j = 0; j < problem.num_vars; ++j) {
-    solution.x[static_cast<std::size_t>(j)] = tableau.value(j);
-  }
-  solution.objective = 0.0;
-  for (int j = 0; j < problem.num_vars; ++j) {
-    solution.objective += problem.objective[static_cast<std::size_t>(j)] *
-                          solution.x[static_cast<std::size_t>(j)];
-  }
+  // The dual declined. A declined basis is not a warm-startable one — the
+  // primal answer carries no dual status — so the handle is voided.
+  if (warm != nullptr) warm->clear();
+  const LpStats declined = solution.stats;
+  const double declined_ms = detail::elapsed_ms(start);
+  // Rerun the unchanged problem through the primal engine. The primary
+  // counters then describe the authoritative primal solve ALONE; the
+  // abandoned attempt is reported under the declined_* split (pinned by
+  // sparse_simplex_test).
+  detail::solve_primal_into(problem, solution);
+  solution.stats.dual_fallbacks = 1;
+  solution.stats.declined_dual_pivots = declined.dual_pivots;
+  solution.stats.declined_refactorizations = declined.refactorizations;
+  solution.stats.declined_wall_ms = declined_ms;
+  solution.stats.warm_attempted = declined.warm_attempted;
+  solution.stats.warm_accepted = declined.warm_accepted;
   return solution;
 }
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <utility>
 
-#include "layout/flatten.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 
@@ -197,166 +194,6 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   result.width_after = after.width;
   result.height_after = after.height;
   result.convergence = {result.rounds, schedule.max_rounds, result.converged};
-  return result;
-}
-
-namespace {
-
-// The schedule's working copy of a leaf library: flattened per-cell
-// geometry plus the current pitch vector of every spec'd interface —
-// cheap to snapshot for the convergence test and to materialize into the
-// tables a pass consumes.
-struct LeafLibraryState {
-  std::map<std::string, std::vector<LayerBox>> geometry;
-  std::map<std::tuple<std::string, std::string, int>, Point> vectors;
-
-  bool operator==(const LeafLibraryState&) const = default;
-
-  CellTable cells() const {
-    CellTable table;
-    for (const auto& [name, boxes] : geometry) {
-      Cell& cell = table.create(name);
-      for (const LayerBox& lb : boxes) cell.add_box(lb.layer, lb.box);
-    }
-    return table;
-  }
-
-  InterfaceTable interfaces() const {
-    InterfaceTable table;
-    for (const auto& [key, vector] : vectors) {
-      table.declare(std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                    Interface{vector, Orientation::kNorth});
-    }
-    return table;
-  }
-};
-
-}  // namespace
-
-LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable& interfaces,
-                                   const std::vector<std::string>& cell_names,
-                                   const std::vector<PitchSpec>& pitch_specs,
-                                   const CompactionRules& rules, const LeafXyOptions& options) {
-  if (pitch_specs.empty()) {
-    throw Error("leaf schedule: no pitch specs (use compact_leaf_cells for a pitch-free pass)");
-  }
-  LeafLibraryState state;
-  for (const PitchSpec& spec : pitch_specs) {
-    const Interface iface = interfaces.get(spec.cell_a, spec.cell_b, spec.interface_index);
-    if (!(iface.orientation == Orientation::kNorth)) {
-      throw Error("leaf schedule handles North-oriented interfaces only");
-    }
-    if (iface.vector.x <= 0 && iface.vector.y <= 0) {
-      throw Error("leaf schedule: interface between '" + spec.cell_a + "' and '" + spec.cell_b +
-                  "' has no positive pitch on either axis");
-    }
-    state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}] = iface.vector;
-  }
-  for (const std::string& name : cell_names) {
-    state.geometry[name] = flatten_boxes(cells.get(name));
-  }
-
-  // Partition the specs by compactable axis; a spec with both components
-  // positive rides both passes (its y pass sees the x pass's new pitch).
-  // Re-evaluated from the CURRENT vectors each round: a pitch between
-  // non-interacting cells can legally collapse to zero, after which it no
-  // longer satisfies the positive-pitch precondition of that axis's pass
-  // and simply stays where the collapse left it.
-  const auto specs_for_axis = [&](bool y_axis) {
-    std::vector<PitchSpec> specs;
-    for (const PitchSpec& spec : pitch_specs) {
-      const Point& vector = state.vectors.at({spec.cell_a, spec.cell_b, spec.interface_index});
-      if ((y_axis ? vector.y : vector.x) > 0) specs.push_back(spec);
-    }
-    return specs;
-  };
-
-  LeafXyResult result;
-  // One warm-start handle per axis, alive across rounds: round k's optimal
-  // basis seeds round k+1's solve of the same axis. The engine validates
-  // the carried basis itself (shape, nonsingularity, dual feasibility) and
-  // cold-starts when it is stale — e.g. when an axis's spec list changed
-  // and the LP shape with it — so the handles need no management here.
-  LpWarmStart warm_x;
-  LpWarmStart warm_y;
-  LpWarmStart* const warm_x_ptr = options.warm_start ? &warm_x : nullptr;
-  LpWarmStart* const warm_y_ptr = options.warm_start ? &warm_y : nullptr;
-  for (int round = 0; round < options.max_rounds; ++round) {
-    const LeafLibraryState before = state;
-    LeafRoundStats stats;
-    stats.round = round + 1;
-    const LeafRoundStats* previous =
-        result.round_stats.empty() ? nullptr : &result.round_stats.back();
-
-    const std::vector<PitchSpec> x_specs = specs_for_axis(/*y_axis=*/false);
-    const std::vector<PitchSpec> y_specs = specs_for_axis(/*y_axis=*/true);
-    if (!x_specs.empty()) {
-      const CellTable pass_cells = state.cells();
-      const InterfaceTable pass_interfaces = state.interfaces();
-      const LeafResult x = compact_leaf_cells(pass_cells, pass_interfaces, cell_names, x_specs,
-                                              rules, options.width_weight,
-                                              options.stretchable_layers, options.lp, warm_x_ptr);
-      for (const auto& [name, boxes] : x.cells) state.geometry[name] = boxes;
-      for (std::size_t s = 0; s < x_specs.size(); ++s) {
-        const PitchSpec& spec = x_specs[s];
-        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].x = x.pitches[s];
-      }
-      stats.x_ran = true;
-      stats.x_lp = x.lp_stats;
-      stats.x_objective = x.objective;
-      result.lp_total += x.lp_stats;
-    }
-
-    if (!y_specs.empty()) {
-      const CellTable pass_cells = state.cells();
-      const InterfaceTable pass_interfaces = state.interfaces();
-      const LeafResult y = compact_leaf_cells_y(pass_cells, pass_interfaces, cell_names, y_specs,
-                                                rules, options.width_weight,
-                                                options.stretchable_layers, options.lp,
-                                                warm_y_ptr);
-      for (const auto& [name, boxes] : y.cells) state.geometry[name] = boxes;
-      for (std::size_t s = 0; s < y_specs.size(); ++s) {
-        const PitchSpec& spec = y_specs[s];
-        state.vectors[{spec.cell_a, spec.cell_b, spec.interface_index}].y = y.pitches[s];
-      }
-      stats.y_ran = true;
-      stats.y_lp = y.lp_stats;
-      stats.y_objective = y.objective;
-      result.lp_total += y.lp_stats;
-    }
-
-    // Convergence: the pitch vectors are back unchanged and neither axis
-    // found a better objective than last round. Box positions are NOT part
-    // of the test — the leaf LPs have tied alternative optima, and each
-    // pass's tie-break depends on the other axis's coordinates, so the
-    // geometry can wander inside the optimal face forever while every
-    // quantity the schedule optimizes (pitches, objective) sits still.
-    const auto close = [](double a, double b) {
-      return std::abs(a - b) <= 1e-9 * (1.0 + std::abs(a) + std::abs(b));
-    };
-    // An axis that ran in neither round is trivially stable (its specs
-    // dropped off — e.g. every pitch collapsed to zero); comparing its
-    // default 0.0 against a real objective would stall convergence.
-    const auto axis_plateau = [&](bool ran, double objective, bool prev_ran,
-                                  double prev_objective) {
-      if (ran != prev_ran) return false;
-      return !ran || close(objective, prev_objective);
-    };
-    const bool plateau =
-        previous != nullptr &&
-        axis_plateau(stats.x_ran, stats.x_objective, previous->x_ran, previous->x_objective) &&
-        axis_plateau(stats.y_ran, stats.y_objective, previous->y_ran, previous->y_objective);
-    result.round_stats.push_back(std::move(stats));
-    result.rounds = round + 1;
-    // Recomputed every round, not latched: under stop_when_converged =
-    // false a later round may move a pitch vector again, and the flag must
-    // describe the ROUND THE RESULT CAME FROM, not any earlier plateau.
-    result.converged = state == before || (plateau && state.vectors == before.vectors);
-    if (result.converged && options.stop_when_converged) break;
-  }
-
-  result.cells = state.cells();
-  result.interfaces = state.interfaces();
   return result;
 }
 

@@ -8,23 +8,15 @@
 // alternates the two axes until a round leaves the geometry unchanged (the
 // schedule's fixpoint; extents alone can plateau a round before the
 // geometry does) or a hard round cap — the scheduling layer the §6.4
-// experiments left open.
-// The LEAF library gets the same treatment (§6.1–§6.3 meets the schedule):
-// compact_leaf_schedule alternates compact_leaf_cells (x) with
-// compact_leaf_cells_y (the transposed pipeline) over a pitch-spec list
-// partitioned by axis — specs with a positive x pitch feed the x pass,
-// specs with a positive y pitch the y pass, both-positive specs feed both —
-// rebuilding the library between passes until a round leaves every box and
-// every pitch unchanged.
+// experiments left open. The leaf library's alternating schedule,
+// compact_leaf_schedule, lives with the leaf LP in leaf_compactor.hpp.
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "compact/flat_compactor.hpp"
 #include "compact/incremental.hpp"
-#include "compact/leaf_compactor.hpp"
 #include "support/cancel.hpp"
 
 namespace rsg::compact {
@@ -136,67 +128,5 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
                                        const FlatOptions& options = {},
                                        const XyScheduleOptions& schedule = {},
                                        const std::vector<bool>& stretchable = {});
-
-// --- the leaf-aware x/y round (§6.1–§6.3 under the schedule) ---------------
-
-struct LeafXyOptions {
-  // Hard cap; each round is one x pass (compact_leaf_cells) followed by one
-  // y pass (compact_leaf_cells_y). Leaf rounds converge much faster than
-  // flat ones — the library couples globally through the pitches — so the
-  // default cap is small.
-  int max_rounds = 4;
-  bool stop_when_converged = true;
-  double width_weight = 1e-3;
-  std::vector<Layer> stretchable_layers;
-  // The LP engine of every pass; defaults to kSparseDual.
-  LpOptions lp;
-  // Carry each axis's optimal basis into the next round's solve (kSparseDual
-  // only; the other engines ignore it). Consecutive rounds of one axis are
-  // structurally identical LPs a few bound changes apart, so the carried
-  // basis usually prices dual-feasible and the re-solve spends a fraction of
-  // a cold start's pivots (LeafRoundStats::{x,y}_lp.warm_accepted says when
-  // it held; the engine cold-starts on its own whenever it does not). The
-  // solved objective is identical either way — only the pivot path (and,
-  // on LPs with tied optima, which optimal vertex reports) changes.
-  bool warm_start = true;
-};
-
-// Per-round LP telemetry — the leaf analogue of RoundStats, reported by
-// compaction_demo and asserted by the leaf schedule tests.
-struct LeafRoundStats {
-  int round = 0;   // 1-based
-  bool x_ran = false;  // false when the round had no specs on that axis
-  bool y_ran = false;
-  LpStats x_lp;
-  LpStats y_lp;
-  double x_objective = 0.0;
-  double y_objective = 0.0;
-};
-
-struct LeafXyResult {
-  // The compacted library: cell geometry plus every spec'd interface with
-  // both axis components updated — ready to serve as the next technology's
-  // sample library (§6.3).
-  CellTable cells;
-  InterfaceTable interfaces;
-  int rounds = 0;
-  // A round left every pitch vector unchanged and neither axis improved
-  // its objective (box positions may still wander inside the tied optimal
-  // face — each pass's tie-break depends on the other axis's coordinates,
-  // so pitch/objective stability IS the schedule's fixpoint).
-  bool converged = false;
-  LpStats lp_total;        // summed over every pass of every round
-  std::vector<LeafRoundStats> round_stats;
-};
-
-// Alternates leaf x and y compaction to a library fixpoint. Every spec must
-// have a positive pitch on at least one axis; specs positive on both feed
-// both passes (the y pass re-optimizes y under the x pass's fresh pitches).
-// Throws rsg::Error on infeasible systems, like the underlying compactors.
-LeafXyResult compact_leaf_schedule(const CellTable& cells, const InterfaceTable& interfaces,
-                                   const std::vector<std::string>& cell_names,
-                                   const std::vector<PitchSpec>& pitch_specs,
-                                   const CompactionRules& rules,
-                                   const LeafXyOptions& options = {});
 
 }  // namespace rsg::compact

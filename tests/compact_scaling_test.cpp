@@ -10,6 +10,7 @@
 #include "compact/flat_compactor.hpp"
 #include "compact/rigid_groups.hpp"
 #include "compact/synth_design.hpp"
+#include "oracles/pass_based_solver.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -114,8 +115,12 @@ TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
 }
 
 TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
+  // The seeded property fields plus the 1000-box grid the scaling
+  // benchmark sweeps.
+  std::vector<SynthField> fields = property_fields();
+  fields.push_back(make_grid_field_of_size(1000));
   std::uint32_t seed = 0;
-  for (const SynthField& field : property_fields()) {
+  for (const SynthField& field : fields) {
     ConstraintSystem system;
     const std::vector<CompactionBox> boxes = to_compaction_boxes(field, system);
     generate_constraints(system, boxes, CompactionRules::mosis());
@@ -131,7 +136,7 @@ TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
     if (!pass.values.empty()) {
       const Coord width = *std::max_element(pass.values.begin(), pass.values.end());
       std::vector<Coord> pass_upper;
-      solve_rightmost(pass, width, pass_upper);
+      oracle::solve_rightmost_pass_based(pass, width, pass_upper);
       std::vector<Coord> work_upper;
       solve_rightmost_worklist(work, width, work_upper);
       ASSERT_EQ(pass_upper, work_upper) << "seed " << seed;
@@ -166,23 +171,6 @@ TEST(CompactScaling, WorklistDetectsPositiveCycle) {
   EXPECT_THROW(solve_leftmost_worklist(system), Error);
   std::vector<Coord> upper;
   EXPECT_THROW(solve_rightmost_worklist(system, 100, upper), Error);
-}
-
-TEST(CompactScaling, EndToEndWorklistMatchesPassBasedOnBenchmarkGrid) {
-  const SynthField field = make_grid_field_of_size(1000);
-  FlatOptions pass_options;
-  pass_options.solver = SolverKind::kPassBased;
-  pass_options.apply_rubber_band = true;
-  const FlatResult pass =
-      compact_flat(field.boxes, CompactionRules::mosis(), pass_options, field.stretchable);
-  FlatOptions work_options;
-  work_options.solver = SolverKind::kWorklist;
-  work_options.apply_rubber_band = true;
-  const FlatResult work =
-      compact_flat(field.boxes, CompactionRules::mosis(), work_options, field.stretchable);
-  EXPECT_EQ(pass.width_after, work.width_after);
-  EXPECT_EQ(pass.boxes, work.boxes);
-  EXPECT_LT(work.width_after, work.width_before);  // the compactor did work
 }
 
 }  // namespace

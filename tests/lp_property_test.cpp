@@ -1,15 +1,14 @@
-// Generative property tests for the LP engine zoo (§6.3's solver, four
-// ways): seeded random instances spanning the shapes that break simplex
-// implementations in practice — degenerate plateaus, unbounded rays,
-// infeasible systems, and the near-unimodular difference-constraint
-// matrices leaf compaction actually emits — asserting that the dense
-// tableau, sparse Dantzig, sparse devex and sparse dual engines agree on
-// feasibility, boundedness and objective value on every single one. The
-// harness is the example-driven validation idea of the ROADMAP: the
-// specification ("all engines are the same function") is checked against a
-// generated example population rather than hand-picked cases, in the
-// spirit of `Generating Significant Examples for Conceptual Schema
-// Validation`.
+// Generative property tests for §6.3's LP solver: seeded random instances
+// spanning the shapes that break simplex implementations in practice —
+// degenerate plateaus, unbounded rays, infeasible systems, and the
+// near-unimodular difference-constraint matrices leaf compaction actually
+// emits — asserting that solve_lp (the bounded-variable dual) and its
+// primal fallback (detail::solve_lp_primal) agree with the dense tableau
+// oracle on feasibility, boundedness and objective value on every single
+// one. The harness is example-driven validation: the specification ("all
+// solvers are the same function") is checked against a generated example
+// population rather than hand-picked cases, in the spirit of `Generating
+// Significant Examples for Conceptual Schema Validation`.
 //
 // Determinism: every instance derives from a fixed seed; there is no
 // wall-clock or global entropy anywhere, so a failure reproduces by seed.
@@ -22,6 +21,7 @@
 #include <random>
 
 #include "compact/simplex.hpp"
+#include "oracles/dense_tableau.hpp"
 
 namespace rsg::compact {
 namespace {
@@ -31,14 +31,14 @@ struct EngineRun {
   LpSolution solution;
 };
 
-// Solves `p` with all four engines and cross-checks them; returns the
-// dense solution for family-specific assertions.
+// Solves `p` with the dense oracle, the primal fallback and solve_lp and
+// cross-checks them; returns the dense solution for family-specific
+// assertions.
 LpSolution expect_engines_agree(const LpProblem& p, std::uint32_t seed, const char* family) {
   const EngineRun runs[] = {
-      {"dense", solve_lp(p, LpMethod::kDenseTableau)},
-      {"sparse-dantzig", solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig)},
-      {"sparse-devex", solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex)},
-      {"sparse-dual", solve_lp(p, LpMethod::kSparseDual)},
+      {"dense", oracle::solve_lp_dense(p)},
+      {"primal", detail::solve_lp_primal(p)},
+      {"solve_lp", solve_lp(p)},
   };
   const LpSolution& dense = runs[0].solution;
   for (const EngineRun& run : runs) {
@@ -52,9 +52,9 @@ LpSolution expect_engines_agree(const LpProblem& p, std::uint32_t seed, const ch
                 1e-6 * (1.0 + std::abs(dense.objective)))
         << family << " seed " << seed << " engine " << run.name;
   }
-  // The satellite contract, stated directly: the dual engine reports
-  // infeasible exactly when the primal does.
-  EXPECT_EQ(runs[3].solution.feasible, runs[1].solution.feasible)
+  // Stated directly: the dual engine reports infeasible exactly when the
+  // primal does.
+  EXPECT_EQ(runs[2].solution.feasible, runs[1].solution.feasible)
       << family << " seed " << seed;
   return dense;
 }
@@ -151,7 +151,7 @@ TEST(LpPropertyTest, InfeasibleInstancesAgreeAcrossEngines) {
 
 // Family 4: degenerate plateaus — many rows tight at the origin (zero
 // rhs), duplicated rows, and zero-cost ties. The anti-cycling guards of
-// all four engines have to survive these; the objective is pinned by one
+// all three solvers have to survive these; the objective is pinned by one
 // non-degenerate row per instance.
 TEST(LpPropertyTest, DegenerateInstancesTerminateAndAgree) {
   for (std::uint32_t seed = 0; seed < 80; ++seed) {
@@ -180,7 +180,7 @@ TEST(LpPropertyTest, DegenerateInstancesTerminateAndAgree) {
 // coefficients and integer bounds, the exact matrix class leaf compaction
 // emits. All arithmetic is exact here, so the agreement bar is EQUALITY,
 // and the dual engine must clear every instance with zero phase-1 pivots
-// and zero fallbacks (the tentpole's claim, fuzzed).
+// and zero fallbacks.
 TEST(LpPropertyTest, NearUnimodularChainsAgreeBitForBitAndDualSkipsPhaseOne) {
   for (std::uint32_t seed = 0; seed < 120; ++seed) {
     auto rng = rng_for(seed ^ 0x5EAFC311u);
@@ -204,27 +204,25 @@ TEST(LpPropertyTest, NearUnimodularChainsAgreeBitForBitAndDualSkipsPhaseOne) {
       }
     }
     p.constraints.push_back({{{n - 1, 1.0}}, 200.0});  // global ceiling: feasible, bounded
-    const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
-    const LpSolution dantzig = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-    const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_lp_dense(p);
+    const LpSolution primal = detail::solve_lp_primal(p);
+    const LpSolution dual = solve_lp(p);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
-    EXPECT_EQ(dantzig.objective, dense.objective) << "seed " << seed;
-    EXPECT_EQ(devex.objective, dense.objective) << "seed " << seed;
+    EXPECT_EQ(primal.objective, dense.objective) << "seed " << seed;
     EXPECT_EQ(dual.objective, dense.objective) << "seed " << seed;
     EXPECT_EQ(dual.stats.phase1_pivots, 0) << "seed " << seed;
     EXPECT_EQ(dual.stats.dual_fallbacks, 0) << "seed " << seed;
   }
 }
 
-// Family 6 (this PR): bounded-variable LPs with finite upper bounds ACTIVE
+// Family 6: bounded-variable LPs with finite upper bounds ACTIVE
 // at the optimum — the bounded-variable ratio test's home turf. Every
 // negative-cost column gets a finite integer bound (so instances are
 // bounded by construction, never via working bounds), coefficients are
 // +-1 integers and bounds/rhs integers, so the agreement bar is EQUALITY:
-// the dual solves the bounds natively while dense / sparse-primal solve
-// the row-augmented equivalent, and all four must land on the identical
-// objective.
+// the dual solves the bounds natively while the dense oracle and the
+// primal fallback solve the row-augmented equivalent, and all three must
+// land on the identical objective.
 TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
   int feasible_seen = 0;
   int bound_active_seen = 0;
@@ -262,7 +260,7 @@ TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
     ++feasible_seen;
     // All-integer +-1 data: the native-bounds dual and the row-augmented
     // dense baseline must agree EXACTLY, not just within tolerance.
-    const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+    const LpSolution dual = solve_lp(p);
     EXPECT_EQ(dual.objective, dense.objective) << "seed " << seed;
     for (int j = 0; j < n; ++j) {
       if (p.upper[static_cast<std::size_t>(j)] != kLpUnbounded &&
@@ -278,7 +276,7 @@ TEST(LpPropertyTest, BoundedVariableInstancesAgreeWithBoundsActiveAtOptimum) {
   EXPECT_GT(bound_active_seen, 20);
 }
 
-// Family 7 (this PR): warm-start chains — solve, perturb one bound, re-solve
+// Family 7: warm-start chains — solve, perturb one bound, re-solve
 // with the carried basis vs cold, and the two must be indistinguishable in
 // outcome: identical objective (exact, integer data), a solution feasible
 // against every row, and the cross-engine agreement holds on the perturbed
@@ -290,7 +288,6 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
   int accepted = 0;
   long warm_pivots = 0;
   long cold_pivots = 0;
-  const LpOptions dual_opts{LpMethod::kSparseDual, LpPricing::kDantzig};
   for (std::uint32_t seed = 0; seed < 80; ++seed) {
     auto rng = rng_for(seed ^ 0x3A37ED5u);
     std::uniform_int_distribution<int> dim(3, 20);
@@ -310,7 +307,7 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
     p.constraints.push_back({{{n - 1, 1.0}}, 400.0});  // ceiling: feasible, bounded
 
     LpWarmStart warm;
-    const LpSolution first = solve_lp(p, dual_opts, &warm);
+    const LpSolution first = solve_lp(p, &warm);
     ASSERT_TRUE(first.feasible && first.bounded) << "seed " << seed;
     ASSERT_TRUE(warm.valid()) << "seed " << seed;
 
@@ -320,8 +317,8 @@ TEST(LpPropertyTest, WarmStartChainsMatchColdAcrossEngines) {
     const std::size_t row = static_cast<std::size_t>(seed) % (p2.constraints.size() - 1);
     p2.constraints[row].rhs -= 1.0;  // tighten: x_row's gap grows by 1
 
-    const LpSolution warm_run = solve_lp(p2, dual_opts, &warm);
-    const LpSolution cold_run = solve_lp(p2, dual_opts);
+    const LpSolution warm_run = solve_lp(p2, &warm);
+    const LpSolution cold_run = solve_lp(p2);
     const LpSolution dense = expect_engines_agree(p2, seed, "warm-chain");
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
     ASSERT_TRUE(warm_run.feasible && cold_run.feasible) << "seed " << seed;

@@ -1,15 +1,19 @@
-// Equivalence and robustness tests for the sparse revised simplex: the new
-// engine must reproduce the dense tableau baseline's objectives on the
-// leaf-compaction workloads it was built to scale (and its geometry where
-// the optimum is unique), stay exact on randomized small LPs, and survive
-// known-degenerate systems through the Bland anti-cycling fallback.
+// Equivalence and robustness tests for the sparse LP engine: solve_lp (the
+// bounded-variable dual) and its primal fallback must reproduce the dense
+// tableau oracle's objectives on the leaf-compaction workloads they were
+// built to scale (and its geometry where the optimum is unique), stay exact
+// on randomized small LPs, decline rather than pivot where the dual cannot
+// certify its answer, and survive known-degenerate systems through the
+// Bland anti-cycling fallback.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "compact/leaf_compactor.hpp"
 #include "compact/simplex.hpp"
 #include "compact/synth_design.hpp"
+#include "oracles/dense_tableau.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -17,87 +21,20 @@ namespace {
 
 TEST(SparseSimplex, MatchesDenseObjectiveOnSeededLeafLibraries) {
   // The acceptance workload: the same synthetic libraries bench_leaf_scaling
-  // sweeps, across seeds and sizes. Identical LpProblem, both engines under
-  // both pricing rules, the objectives must agree to relative 1e-6.
+  // sweeps, across seeds and sizes. Identical LpProblem, the primal engine
+  // against the dense oracle, the objectives must agree to relative 1e-6.
   for (const std::uint32_t seed : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     const int num_cells = 2 + static_cast<int>(seed % 4) * 2;
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 6, seed);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
+    const LpSolution dense = oracle::solve_lp_dense(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
-    for (const LpPricing pricing : {LpPricing::kDantzig, LpPricing::kDevex}) {
-      const LpSolution sparse = solve_lp(model.lp, LpMethod::kSparseRevised, pricing);
-      ASSERT_TRUE(sparse.feasible && sparse.bounded) << "seed " << seed;
-      EXPECT_NEAR(sparse.objective, dense.objective,
-                  1e-6 * (1.0 + std::abs(dense.objective)))
-          << "seed " << seed << " pricing " << static_cast<int>(pricing);
-    }
-  }
-}
-
-TEST(SparseSimplex, DevexMatchesDenseBitForBitOnBenchLeafLibraries) {
-  // The PR 4 acceptance pin: on the exact libraries bench_leaf_scaling
-  // sweeps (seed 7, 8 boxes per cell), devex must price its way to the
-  // BIT-IDENTICAL objective the dense Dantzig tableau reaches, and never
-  // spend more pivots than sparse Dantzig. On these near-unimodular
-  // compaction matrices every pivot element is +-1, all arithmetic is
-  // exact, and phase 1 needs one pivot per artificial row — a floor Dantzig
-  // already sits on — so devex ties the pivot count here (equality) while
-  // genuinely reducing it on heterogeneous LPs (see
-  // DevexReducesPivotsOnHeterogeneousLps).
-  for (const int num_cells : {16, 32}) {
-    const SynthLeafLibrary lib = make_leaf_library(num_cells, 8, 7);
-    const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
-                                            lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution dantzig = solve_lp(model.lp, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(model.lp, LpMethod::kSparseRevised, LpPricing::kDevex);
-    ASSERT_TRUE(dense.feasible && dense.bounded) << num_cells << " cells";
-    ASSERT_TRUE(devex.feasible && devex.bounded) << num_cells << " cells";
-    EXPECT_EQ(devex.objective, dense.objective) << num_cells << " cells";
-    EXPECT_EQ(devex.objective, dantzig.objective) << num_cells << " cells";
-    EXPECT_LE(devex.stats.iterations, dantzig.stats.iterations) << num_cells << " cells";
-  }
-}
-
-TEST(SparseSimplex, DevexReducesPivotsOnHeterogeneousLps) {
-  // Where column norms differ, the reference framework pays off: across a
-  // seeded ensemble of random LPs devex must spend strictly fewer total
-  // pivots than Dantzig while agreeing on every objective.
-  long dantzig_pivots = 0;
-  long devex_pivots = 0;
-  for (std::uint32_t seed = 0; seed < 200; ++seed) {
-    std::mt19937 rng(seed * 2654435761u + 1);
-    std::uniform_int_distribution<int> dim(4, 24);
-    std::uniform_real_distribution<double> coeff(-3.0, 3.0);
-    std::uniform_real_distribution<double> cost(0.0, 2.0);
-    LpProblem p;
-    p.num_vars = dim(rng);
-    for (int j = 0; j < p.num_vars; ++j) p.objective.push_back(cost(rng));
-    const int rows = dim(rng);
-    for (int i = 0; i < rows; ++i) {
-      LpConstraint c;
-      for (int j = 0; j < p.num_vars; ++j) {
-        const double v = coeff(rng);
-        if (std::abs(v) > 1.0) c.terms.emplace_back(j, v);
-      }
-      c.rhs = coeff(rng);
-      p.constraints.push_back(std::move(c));
-    }
-    const LpSolution dantzig = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDantzig);
-    const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-    ASSERT_EQ(dantzig.feasible, devex.feasible) << "seed " << seed;
-    if (!dantzig.feasible) continue;
-    ASSERT_EQ(dantzig.bounded, devex.bounded) << "seed " << seed;
-    if (!dantzig.bounded) continue;
-    EXPECT_NEAR(devex.objective, dantzig.objective,
-                1e-6 * (1.0 + std::abs(dantzig.objective)))
+    const LpSolution primal = detail::solve_lp_primal(model.lp);
+    ASSERT_TRUE(primal.feasible && primal.bounded) << "seed " << seed;
+    EXPECT_NEAR(primal.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
         << "seed " << seed;
-    dantzig_pivots += dantzig.stats.iterations;
-    devex_pivots += devex.stats.iterations;
   }
-  EXPECT_LT(devex_pivots, dantzig_pivots);
 }
 
 TEST(SparseSimplex, DualMatchesDenseBitForBitWithZeroPhaseOnePivots) {
@@ -106,14 +43,14 @@ TEST(SparseSimplex, DualMatchesDenseBitForBitWithZeroPhaseOnePivots) {
   // objective is emitted componentwise nonnegative, so the dual must run
   // start to finish with NO phase-1 pivots, NO primal fallback, reach the
   // BIT-IDENTICAL objective of the dense Dantzig tableau, and spend at
-  // most half the primal Dantzig pivot count.
+  // most half the pivots of its own primal fallback.
   for (const int num_cells : {16, 32}) {
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 8, 7);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution primal = solve_lp(model.lp, LpMethod::kSparseRevised);
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_lp_dense(model.lp);
+    const LpSolution primal = detail::solve_lp_primal(model.lp);
+    const LpSolution dual = solve_lp(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << num_cells << " cells";
     ASSERT_TRUE(dual.feasible && dual.bounded) << num_cells << " cells";
     EXPECT_EQ(dual.objective, dense.objective) << num_cells << " cells";
@@ -134,8 +71,8 @@ TEST(SparseSimplex, DualMatchesDenseObjectiveOnSeededLeafLibraries) {
     const SynthLeafLibrary lib = make_leaf_library(num_cells, 6, seed);
     const LeafLpModel model = build_leaf_lp(lib.cells, lib.interfaces, lib.cell_names,
                                             lib.pitch_specs, CompactionRules::mosis());
-    const LpSolution dense = solve_lp(model.lp, LpMethod::kDenseTableau);
-    const LpSolution dual = solve_lp(model.lp, LpMethod::kSparseDual);
+    const LpSolution dense = oracle::solve_lp_dense(model.lp);
+    const LpSolution dual = solve_lp(model.lp);
     ASSERT_TRUE(dense.feasible && dense.bounded) << "seed " << seed;
     ASSERT_TRUE(dual.feasible && dual.bounded) << "seed " << seed;
     EXPECT_NEAR(dual.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
@@ -153,7 +90,7 @@ TEST(SparseSimplex, DualFallsBackToPrimalOnItsOwnTerritory) {
   LpProblem p;
   p.num_vars = 1;
   p.objective = {-1.0};
-  const LpSolution s = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.feasible);
   EXPECT_FALSE(s.bounded);
   EXPECT_EQ(s.stats.dual_fallbacks, 1);
@@ -177,7 +114,7 @@ TEST(SparseSimplex, DeclinedDualWorkIsReportedUnderDistinctCounters) {
       {{{0, 1.0}}, 5.0},               // x0 <= 5
       {{{0, -1.0}, {1, 1.0}}, -2.0},   // x0 - x1 >= 2: forces dual pivots
   };
-  const LpSolution s = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.feasible);
   EXPECT_FALSE(s.bounded);  // x2 is a free ray
   ASSERT_EQ(s.stats.dual_fallbacks, 1);
@@ -189,7 +126,7 @@ TEST(SparseSimplex, DeclinedDualWorkIsReportedUnderDistinctCounters) {
   // The split, asserted exactly: the fallback's primary counters must be
   // INDISTINGUISHABLE from a pure primal solve of the same problem —
   // nothing of the dual attempt folded in.
-  const LpSolution primal = solve_lp(p, LpMethod::kSparseRevised);
+  const LpSolution primal = detail::solve_lp_primal(p);
   EXPECT_EQ(s.stats.iterations, primal.stats.iterations);
   EXPECT_EQ(s.stats.refactorizations, primal.stats.refactorizations);
   EXPECT_EQ(s.stats.phase1_pivots, primal.stats.phase1_pivots);
@@ -211,9 +148,9 @@ TEST(SparseSimplex, DualDeclinesNearSingularPivotInsteadOfTakingIt) {
   p.constraints = {
       {{{0, -1e-8}, {1, -1.0}}, -1.0},  // 1e-8 x0 + x1 >= 1
   };
-  const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+  const LpSolution dense = oracle::solve_lp_dense(p);
   ASSERT_TRUE(dense.feasible && dense.bounded);
-  const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution dual = solve_lp(p);
   ASSERT_TRUE(dual.feasible && dual.bounded);
   EXPECT_EQ(dual.stats.dual_fallbacks, 1);  // declined, not pivoted
   EXPECT_EQ(dual.stats.declined_dual_pivots, 0);
@@ -234,9 +171,9 @@ TEST(SparseSimplex, DualHandlesMixedSignObjectivesNatively) {
       {{{0, 1.0}, {1, -1.0}}, 2.0},   // x0 - x1 <= 2
       {{{0, 1.0}, {2, 1.0}}, 6.0},    // x0 + x2 <= 6
   };
-  const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
+  const LpSolution dense = oracle::solve_lp_dense(p);
   ASSERT_TRUE(dense.feasible && dense.bounded);
-  const LpSolution dual = solve_lp(p, LpMethod::kSparseDual);
+  const LpSolution dual = solve_lp(p);
   ASSERT_TRUE(dual.feasible && dual.bounded);
   EXPECT_EQ(dual.objective, dense.objective);
   EXPECT_EQ(dual.stats.dual_fallbacks, 0);
@@ -245,59 +182,6 @@ TEST(SparseSimplex, DualHandlesMixedSignObjectivesNatively) {
   // at-upper resting state, not a row, carries the bound.
   EXPECT_NEAR(dual.x[0], 4.0, 1e-9);
   EXPECT_NEAR(dual.x[2], 2.0, 1e-9);
-}
-
-TEST(SparseSimplex, StatsResetBetweenSolvesOnReusedSolution) {
-  // Regression (this PR): the engine accumulated LpStats into whatever
-  // `solution` it was handed, so reusing an LpSolution across solve calls
-  // doubled the refactorization counter. The chain problem below crosses
-  // the refactorization interval, which makes the accumulation observable:
-  // a second solve into the SAME solution object must report the same
-  // counts as the first, not their sum.
-  LpProblem p;
-  constexpr int kVars = 400;
-  p.num_vars = kVars;
-  p.objective.assign(kVars, 0.0);
-  p.objective.back() = 1.0;
-  p.constraints.push_back({{{0, -1.0}}, -1.0});
-  for (int v = 1; v < kVars; ++v) {
-    p.constraints.push_back({{{v - 1, 1.0}, {v, -1.0}}, -1.0});
-  }
-  LpSolution reused;
-  detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
-  const LpStats first = reused.stats;
-  ASSERT_GT(first.refactorizations, 0);
-  detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
-  EXPECT_EQ(reused.stats.refactorizations, first.refactorizations);
-  EXPECT_EQ(reused.stats.iterations, first.iterations);
-
-  detail::solve_lp_sparse_dual_into(p, LpPricing::kDantzig, reused);
-  const LpStats dual_first = reused.stats;
-  detail::solve_lp_sparse_dual_into(p, LpPricing::kDantzig, reused);
-  EXPECT_EQ(reused.stats.refactorizations, dual_first.refactorizations);
-  EXPECT_EQ(reused.stats.iterations, dual_first.iterations);
-  EXPECT_EQ(reused.stats.dual_pivots, dual_first.dual_pivots);
-
-  // The reset covers every field, not just stats: an infeasible solve into
-  // the same (feasible, x-populated) solution must not leak the previous
-  // x / objective / bounded values through its early exit.
-  LpProblem infeasible;
-  infeasible.num_vars = 1;
-  infeasible.objective = {1.0};
-  infeasible.constraints = {{{{0, 1.0}}, 1.0}, {{{0, -1.0}}, -3.0}};
-  for (const bool dual : {false, true}) {
-    detail::solve_lp_sparse_into(p, LpPricing::kDantzig, reused);
-    ASSERT_TRUE(reused.feasible && !reused.x.empty());
-    if (dual) {
-      detail::solve_lp_sparse_dual_into(infeasible, LpPricing::kDantzig, reused);
-    } else {
-      detail::solve_lp_sparse_into(infeasible, LpPricing::kDantzig, reused);
-    }
-    EXPECT_FALSE(reused.feasible);
-    EXPECT_TRUE(reused.bounded);
-    EXPECT_TRUE(reused.x.empty());
-    EXPECT_EQ(reused.objective, 0.0);
-  }
 }
 
 TEST(SparseSimplex, MatchesDenseGeometryOnUniqueOptimum) {
@@ -311,21 +195,34 @@ TEST(SparseSimplex, MatchesDenseGeometryOnUniqueOptimum) {
   interfaces.declare("a", "a", 1, Interface{{60, 0}, Orientation::kNorth});
   const std::vector<PitchSpec> specs = {{"a", "a", 1, 1.0}};
 
-  const LeafResult dense = compact_leaf_cells(cells, interfaces, {"a"}, specs,
-                                              CompactionRules::mosis(), 1e-3, {},
-                                              LpMethod::kDenseTableau);
-  const LeafResult sparse = compact_leaf_cells(cells, interfaces, {"a"}, specs,
-                                               CompactionRules::mosis(), 1e-3, {},
-                                               LpMethod::kSparseRevised);
-  // The default engine is now the dual (LpOptions{}); the unique optimum
-  // forces it onto the identical geometry.
+  const LeafLpModel model =
+      build_leaf_lp(cells, interfaces, {"a"}, specs, CompactionRules::mosis());
+  const LpSolution dense = oracle::solve_lp_dense(model.lp);
+  const LpSolution primal = detail::solve_lp_primal(model.lp);
+  ASSERT_TRUE(dense.feasible && dense.bounded);
+  ASSERT_TRUE(primal.feasible && primal.bounded);
+  EXPECT_NEAR(dense.objective, primal.objective, 1e-6);
+  // The unique optimum forces every engine onto the same vertex over the
+  // edge and pitch columns (the per-box width columns follow from them).
+  const std::size_t num_edges = model.system.variable_count();
+  for (std::size_t j = 0; j < num_edges + model.system.pitch_count(); ++j) {
+    EXPECT_EQ(std::llround(primal.x[j]), std::llround(dense.x[j])) << "column " << j;
+  }
+  // The compactor runs solve_lp, and its geometry is the dense vertex.
   const LeafResult dual =
       compact_leaf_cells(cells, interfaces, {"a"}, specs, CompactionRules::mosis());
-  EXPECT_EQ(dense.pitches, sparse.pitches);
-  EXPECT_EQ(dense.cells.at("a"), sparse.cells.at("a"));
-  EXPECT_NEAR(dense.objective, sparse.objective, 1e-6);
-  EXPECT_EQ(dense.pitches, dual.pitches);
-  EXPECT_EQ(dense.cells.at("a"), dual.cells.at("a"));
+  EXPECT_NEAR(dense.objective, dual.objective, 1e-6);
+  const LeafCellVars& cv = model.cells.at("a");
+  const std::vector<LayerBox>& boxes = dual.cells.at("a");
+  ASSERT_EQ(boxes.size(), cv.boxes.size());
+  for (std::size_t b = 0; b < boxes.size(); ++b) {
+    EXPECT_EQ(boxes[b].box.lo.x,
+              std::llround(dense.x[static_cast<std::size_t>(cv.left_vars[b])]));
+    EXPECT_EQ(boxes[b].box.hi.x,
+              std::llround(dense.x[static_cast<std::size_t>(cv.right_vars[b])]));
+  }
+  EXPECT_EQ(dual.pitches[0],
+            std::llround(dense.x[num_edges + static_cast<std::size_t>(model.pitch_ids[0])]));
   EXPECT_EQ(dual.lp_stats.phase1_pivots, 0);
   EXPECT_EQ(dual.lp_stats.dual_fallbacks, 0);
 }
@@ -353,25 +250,23 @@ TEST(SparseSimplex, MatchesDenseOnRandomSmallLps) {
       p.constraints.push_back(std::move(c));
     }
 
-    const LpSolution dense = solve_lp(p, LpMethod::kDenseTableau);
-    for (const LpPricing pricing : {LpPricing::kDantzig, LpPricing::kDevex}) {
-      const LpSolution sparse = solve_lp(p, LpMethod::kSparseRevised, pricing);
-      ASSERT_EQ(dense.feasible, sparse.feasible) << "seed " << seed;
-      if (!dense.feasible) continue;
-      ASSERT_EQ(dense.bounded, sparse.bounded) << "seed " << seed;
-      if (!dense.bounded) continue;
-      EXPECT_NEAR(sparse.objective, dense.objective,
-                  1e-6 * (1.0 + std::abs(dense.objective)))
-          << "seed " << seed << " pricing " << static_cast<int>(pricing);
-    }
+    const LpSolution dense = oracle::solve_lp_dense(p);
+    const LpSolution primal = detail::solve_lp_primal(p);
+    ASSERT_EQ(dense.feasible, primal.feasible) << "seed " << seed;
+    if (!dense.feasible) continue;
+    ASSERT_EQ(dense.bounded, primal.bounded) << "seed " << seed;
+    if (!dense.bounded) continue;
+    EXPECT_NEAR(primal.objective, dense.objective, 1e-6 * (1.0 + std::abs(dense.objective)))
+        << "seed " << seed;
   }
 }
 
 TEST(SparseSimplex, BlandFallbackEngagesOnDegenerateStreak) {
   // A known-degenerate plateau: k rows x_{k+1} <= x_i are all tight at the
   // origin, so the walk to the optimum is a long chain of zero-step pivots.
-  // The streak guard must flip both engines to Bland's rule (observable in
-  // the stats) and both must still reach the true optimum x = 1.
+  // The streak guard must flip both the primal engine and the dense oracle
+  // to Bland's rule (observable in the stats) and both must still reach the
+  // true optimum x = 1.
   LpProblem p;
   constexpr int kChain = 20;
   p.num_vars = kChain + 1;
@@ -382,26 +277,19 @@ TEST(SparseSimplex, BlandFallbackEngagesOnDegenerateStreak) {
     p.constraints.push_back({{{i, 1.0}}, 1.0});                  // x_i <= 1
   }
   p.constraints.push_back({{{kChain, 1.0}}, 1.0});  // x_{k+1} <= 1
-  for (const LpMethod method : {LpMethod::kDenseTableau, LpMethod::kSparseRevised}) {
-    const LpSolution s = solve_lp(p, method);
+  for (const LpSolution& s : {oracle::solve_lp_dense(p), detail::solve_lp_primal(p)}) {
     ASSERT_TRUE(s.feasible);
     ASSERT_TRUE(s.bounded);
     EXPECT_NEAR(s.objective, -1.0, 1e-6);
     EXPECT_GE(s.stats.degenerate_pivots, kDegeneratePivotStreak);
     EXPECT_GT(s.stats.bland_pivots, 0);
   }
-  // The anti-cycling fallback is pricing-independent: devex must survive
-  // the same plateau and land on the same optimum.
-  const LpSolution devex = solve_lp(p, LpMethod::kSparseRevised, LpPricing::kDevex);
-  ASSERT_TRUE(devex.feasible);
-  ASSERT_TRUE(devex.bounded);
-  EXPECT_NEAR(devex.objective, -1.0, 1e-6);
 }
 
 TEST(SparseSimplex, BealeCyclingExampleTerminates) {
   // Beale's classic cycling construction, the canonical known-degenerate
-  // regression input: whatever pricing path the engines take, they must
-  // terminate at the optimum instead of looping.
+  // regression input: the primal engine and the dense oracle must terminate
+  // at the optimum instead of looping.
   LpProblem p;
   p.num_vars = 3;
   p.objective = {-0.75, 150.0, -0.02};
@@ -410,8 +298,7 @@ TEST(SparseSimplex, BealeCyclingExampleTerminates) {
       {{{0, 0.5}, {1, -90.0}, {2, -0.02}}, 0.0},
       {{{2, 1.0}}, 1.0},
   };
-  for (const LpMethod method : {LpMethod::kDenseTableau, LpMethod::kSparseRevised}) {
-    const LpSolution s = solve_lp(p, method);
+  for (const LpSolution& s : {oracle::solve_lp_dense(p), detail::solve_lp_primal(p)}) {
     ASSERT_TRUE(s.feasible);
     ASSERT_TRUE(s.bounded);
     EXPECT_NEAR(s.objective, -0.05, 1e-6);
@@ -432,7 +319,7 @@ TEST(SparseSimplex, RefactorizationSurvivesLongRuns) {
   for (int v = 1; v < kVars; ++v) {
     p.constraints.push_back({{{v - 1, 1.0}, {v, -1.0}}, -1.0});  // x_v >= x_{v-1} + 1
   }
-  const LpSolution s = solve_lp(p, LpMethod::kSparseRevised);
+  const LpSolution s = detail::solve_lp_primal(p);
   ASSERT_TRUE(s.feasible);
   ASSERT_TRUE(s.bounded);
   EXPECT_NEAR(s.objective, static_cast<double>(kVars), 1e-6);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compact/leaf_compactor.hpp"
 #include "compact/synth_design.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/flatten.hpp"
@@ -154,10 +155,10 @@ TEST(LeafXySchedule, ScheduleCompactsBothAxesToDrcCleanGrid) {
   EXPECT_TRUE(check_design_rules(assembled, DesignRules::mosis_lambda()).empty());
 }
 
-TEST(LeafXySchedule, ScheduleRunsOnTheDualEngineByDefault) {
-  // The options knob's default is the kSparseDual engine; on the leaf
-  // LPs it must never touch phase 1 or fall back, and every pivot it
-  // reports must be a dual pivot.
+TEST(LeafXySchedule, ScheduleStaysOnTheDualEngine) {
+  // Every pass runs solve_lp's dual engine; on the leaf LPs it must never
+  // touch phase 1 or fall back, and every pivot it reports must be a dual
+  // pivot.
   const SynthLeafLibrary lib = make_leaf_library_2d(4, 6, /*seed=*/9);
   const LeafXyResult result = compact_leaf_schedule(lib.cells, lib.interfaces, lib.cell_names,
                                                     lib.pitch_specs, CompactionRules::mosis());
