@@ -7,12 +7,21 @@
 //   scanline  the visibility scan-line generator (sweep net finder +
 //             ordered-segment profile) plus the pass-based solver
 //   worklist  compact_flat as the product runs it: the scan-line generator
-//             plus the SPFA-style worklist solver
+//             plus the condensed solver (SCCs in topological order). The
+//             row keeps its old name so the trajectory stays comparable.
 //
-// compact_flat always runs the worklist solver, so the naive and scanline
+// compact_flat always runs the condensed solver, so the naive and scanline
 // rows assemble their pass the same way (normalize, build, solve, read the
 // width back) from ConstraintSystemBuilder and solve_leftmost directly.
 // The worklist row also runs a 1M-box field, the top of the trajectory.
+//
+// The solve-only rows time the condensed solver on adversarial rings:
+//   BM_SolveInfeasibleRing   n variables in one SCC whose single +1 edge
+//                            makes a positive cycle (plus -5 back edges);
+//                            the predecessor walk refuses it after O(n)
+//                            relaxations
+//   BM_SolveZeroCycleRing    the same ring with zero weights both ways and
+//                            one anchor: feasible, every member equal
 //
 // CI runs the 1k/10k sizes via scripts/bench_smoke.sh and uploads the JSON
 // as BENCH_compact_scaling.json; run the binary with no filter for the full
@@ -23,10 +32,12 @@
 #include <cstdio>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "compact/flat_compactor.hpp"
 #include "compact/synth_design.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -116,6 +127,50 @@ BENCHMARK(BM_CompactWorklist)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
+// n variables: v -> v+1 weighted `forward`, v[n-1] -> v[0] weighted
+// `closing`, v+1 -> v weighted `back`, and an anchor lifting v[n/2] to 7.
+ConstraintSystem ring_system(int n, Coord forward, Coord closing, Coord back) {
+  ConstraintSystem system;
+  for (int i = 0; i < n; ++i) system.add_variable("r" + std::to_string(i), i);
+  for (int i = 0; i + 1 < n; ++i) system.add_constraint(i, i + 1, forward, ConstraintKind::kSpacing);
+  system.add_constraint(n - 1, 0, closing, ConstraintKind::kSpacing);
+  for (int i = 0; i + 1 < n; ++i) system.add_constraint(i + 1, i, back, ConstraintKind::kSpacing);
+  system.add_constraint(-1, n / 2, 7, ConstraintKind::kAnchor);
+  return system;
+}
+
+void BM_SolveInfeasibleRing(benchmark::State& state) {
+  ConstraintSystem system = ring_system(static_cast<int>(state.range(0)), 0, 1, -5);
+  std::size_t refused = 0;
+  for (auto _ : state) {
+    try {
+      solve_leftmost_condensed(system);
+    } catch (const Error&) {
+      ++refused;
+    }
+  }
+  if (refused != static_cast<std::size_t>(state.iterations())) {
+    state.SkipWithError("the positive ring was not refused");
+  }
+  state.counters["variables"] = static_cast<double>(system.variable_count());
+  state.counters["constraints"] = static_cast<double>(system.constraint_count());
+}
+
+void BM_SolveZeroCycleRing(benchmark::State& state) {
+  ConstraintSystem system = ring_system(static_cast<int>(state.range(0)), 0, 0, 0);
+  SolveStats stats;
+  for (auto _ : state) {
+    stats = solve_leftmost_condensed(system);
+    benchmark::DoNotOptimize(system.values.data());
+  }
+  state.counters["variables"] = static_cast<double>(system.variable_count());
+  state.counters["relaxations"] = static_cast<double>(stats.relaxations);
+  state.counters["pops"] = static_cast<double>(stats.pops);
+}
+
+BENCHMARK(BM_SolveInfeasibleRing)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolveZeroCycleRing)->Arg(10000)->Unit(benchmark::kMillisecond);
+
 double time_once(int boxes, const char* mode) {
   const SynthField& field = field_of_size(boxes);
   const auto start = std::chrono::steady_clock::now();
@@ -136,7 +191,7 @@ void print_scaling_table() {
     std::printf("%-8zu %-14.2f %-14.2f %-14.2f %-10.1f\n", field_of_size(n).boxes.size(), naive,
                 scan, work, naive / work);
   }
-  std::printf("speedup = naive / (scanline generation + worklist solve); the\n");
+  std::printf("speedup = naive / (scanline generation + condensed solve); the\n");
   std::printf("acceptance bar is >= 10x at the 10k size. 50k sizes run under\n");
   std::printf("the registered benchmarks below (or --benchmark_filter=/50000).\n\n");
 }

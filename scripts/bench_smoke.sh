@@ -58,10 +58,10 @@ run_bench() {
 }
 
 run_bench bench_orientations "$OUT"
-# The 1k and 10k points of the scaling sweep — fast enough for CI (the
-# naive 10k configuration is ~1/3 s per repetition). Run the binary with no
-# filter locally for the full 1k/10k/50k trajectory and the 1M worklist
-# point.
+# The 1k and 10k points of the scaling sweep, and of the adversarial ring
+# solves — fast enough for CI (the naive 10k configuration is ~1/3 s per
+# repetition). Run the binary with no filter locally for the full
+# 1k/10k/50k trajectory and the 1M worklist point.
 run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
 # The solve_lp sweep at the CI-sized library counts (the full 2..256-cell
 # trajectory and the primal-vs-dual table need a local run), plus the

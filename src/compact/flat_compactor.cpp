@@ -84,7 +84,7 @@ FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRule
   result.constraint_count = system.constraint_count();
   result.variable_count = system.variable_count();
 
-  result.solve = solve_leftmost_worklist(system);
+  result.solve = solve_leftmost_condensed(system);
   if (options.apply_rubber_band) result.rubber = rubber_band(system);
 
   result.boxes.reserve(cboxes.size());

@@ -231,31 +231,11 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     expect_identical_to_scratch(system, cboxes, rules_);
   }
 
-  // Warm-started solve: the previous pass's coordinates seed the worklist;
-  // verification (or cold fallback) keeps the values exactly the least
-  // solution, so the geometry below matches compact_flat bit for bit.
-  // Predictive gate: attempt the warm start only when the seed already
-  // satisfies every constraint of the new system — then the raise is a
-  // no-op and only verification decides, which is exactly the converged-
-  // tail regime the engine exists for. A violated seed would have to be
-  // raised first, almost always overshoots the least solution somewhere,
-  // and would only pay its bail-out cost before the cold rerun.
-  const std::vector<Coord>* seed = nullptr;
-  // The feasibility scan assumes pitch-free constraints (flat systems have
-  // none; the pitched leaf path never reaches this engine).
-  if (state.warm.size() == system.variable_count() && !state.warm.empty() &&
-      system.pitch_count() == 0) {
-    bool feasible = true;
-    for (const Constraint& c : system.constraints()) {
-      const Coord from = c.from < 0 ? 0 : state.warm[static_cast<std::size_t>(c.from)];
-      if (state.warm[static_cast<std::size_t>(c.to)] < from + c.weight) {
-        feasible = false;
-        break;
-      }
-    }
-    if (feasible) seed = &state.warm;
-  }
-  result.solve = solve_leftmost_worklist(system, seed);
+  // Warm-started solve: the previous pass's coordinates are offered as the
+  // answer; the solver accepts them only when they satisfy every constraint
+  // and are proved least, and otherwise solves cold, so the geometry below
+  // matches compact_flat bit for bit.
+  result.solve = solve_leftmost_condensed(system, &state.warm);
   // Snapshot the warm seed BEFORE the rubber band moves boxes off the
   // least solution: the next pass's warm start targets the least solve,
   // and a rubber-banded seed would fail verification every round.

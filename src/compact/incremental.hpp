@@ -15,10 +15,10 @@
 //     merged emission is byte-identical to a scratch build for every
 //     partition, so reuse is a pure work saving.
 //   * Solves are warm-started from the previous pass's coordinates
-//     (bellman_ford.hpp): the seeded fixpoint is verified as the exact
-//     least solution and falls back to a cold solve when the seed
-//     overshot, so the final geometry is always exactly the scratch
-//     geometry.
+//     (bellman_ford.hpp): the seed is accepted only when it satisfies
+//     every constraint and is proved the exact least solution, and the
+//     solver runs cold otherwise, so the final geometry is always exactly
+//     the scratch geometry.
 //
 // `check_byte_identity` also builds the scratch stream on every pass
 // and throws on any divergence — the mode the equivalence tests and

@@ -40,7 +40,7 @@ RubberBandStats rubber_band(ConstraintSystem& system, int max_iterations) {
 
   const Coord width = *std::max_element(system.values.begin(), system.values.end());
   std::vector<Coord> upper;
-  solve_rightmost_worklist(system, width, upper);
+  solve_rightmost_condensed(system, width, upper);
 
   RigidGroups groups(system);
 

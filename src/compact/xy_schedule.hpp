@@ -102,7 +102,7 @@ struct RoundStats {
   std::size_t constraints_emitted = 0;  // both passes
   std::size_t partners_reswept = 0;     // incremental: regenerated partner entries
   std::size_t partners_reused = 0;      //   spliced from clean bands
-  std::size_t solve_pops = 0;           // worklist dequeues, both passes
+  std::size_t solve_pops = 0;           // solver variable visits, both passes
   bool warm_x = false;                  // warm start verified exact for the axis
   bool warm_y = false;
   double wall_ms = 0.0;

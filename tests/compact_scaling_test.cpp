@@ -1,6 +1,6 @@
 // Equivalence property tests for the scaled compaction hot path: the sweep
 // net finder + ordered-segment profile must emit the byte-identical
-// constraint system as the quadratic/linear reference, the worklist solvers
+// constraint system as the quadratic/linear reference, the condensed solvers
 // must reproduce the pass-based solutions exactly (the least/greatest
 // fixpoints are unique), and the hashed rigid-group matcher must build the
 // same groups as the all-pairs scan — across 500+ seeded random box fields
@@ -128,7 +128,7 @@ TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
     ConstraintSystem pass = system;
     const SolveStats pass_stats = solve_leftmost(pass, EdgeOrder::kSorted);
     ConstraintSystem work = system;
-    const SolveStats work_stats = solve_leftmost_worklist(work);
+    const SolveStats work_stats = solve_leftmost_condensed(work);
     ASSERT_TRUE(pass_stats.converged);
     ASSERT_TRUE(work_stats.converged);
     ASSERT_EQ(pass.values, work.values) << "seed " << seed;
@@ -138,7 +138,7 @@ TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
       std::vector<Coord> pass_upper;
       oracle::solve_rightmost_pass_based(pass, width, pass_upper);
       std::vector<Coord> work_upper;
-      solve_rightmost_worklist(work, width, work_upper);
+      solve_rightmost_condensed(work, width, work_upper);
       ASSERT_EQ(pass_upper, work_upper) << "seed " << seed;
     }
     ++seed;
@@ -168,9 +168,9 @@ TEST(CompactScaling, WorklistDetectsPositiveCycle) {
   const int b = system.add_variable("b", 10);
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);
-  EXPECT_THROW(solve_leftmost_worklist(system), Error);
+  EXPECT_THROW(solve_leftmost_condensed(system), Error);
   std::vector<Coord> upper;
-  EXPECT_THROW(solve_rightmost_worklist(system, 100, upper), Error);
+  EXPECT_THROW(solve_rightmost_condensed(system, 100, upper), Error);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // (compact/incremental.hpp): scratch-vs-incremental byte identity of the
 // constraint stream and the final geometry across 200+ seeded fields, the
 // dirty-band locality contract (a single moved box re-sweeps exactly the
-// bands its shadow window touches), warm-start exactness for both worklist
-// solvers, the full-rebuild escape hatch, and the both-axes-infeasible
+// bands its shadow window touches), warm-start exactness of the leftmost
+// solver, the full-rebuild escape hatch, and the both-axes-infeasible
 // early termination of the schedule.
 #include "compact/incremental.hpp"
 
@@ -212,8 +212,8 @@ TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
 
 TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
   // Whatever the seed — the exact solution, garbage, or an overshoot that
-  // fails verification — the warm-started solvers must return exactly the
-  // cold solution (the least/greatest fixpoints are unique).
+  // fails verification — the warm-started solver must return exactly the
+  // cold solution (the least fixpoint is unique).
   for (std::uint32_t seed = 0; seed < 60; ++seed) {
     const SynthField field = make_random_field(seed, 5 + static_cast<int>(seed % 25));
     std::vector<CompactionBox> boxes;
@@ -226,7 +226,7 @@ TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
     ConstraintSystem cold;
     add_box_variables(cold, boxes);
     generate_constraints(cold, boxes, CompactionRules::mosis());
-    const SolveStats cold_stats = solve_leftmost_worklist(cold);
+    const SolveStats cold_stats = solve_leftmost_condensed(cold);
     ASSERT_TRUE(cold_stats.converged);
 
     const std::vector<Coord> exact = cold.values;
@@ -241,7 +241,7 @@ TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
          {exact_ptr, const_cast<const std::vector<Coord>*>(&overshoot),
           const_cast<const std::vector<Coord>*>(&garbage)}) {
       ConstraintSystem warm = cold;
-      const SolveStats stats = solve_leftmost_worklist(warm, warm_seed);
+      const SolveStats stats = solve_leftmost_condensed(warm, warm_seed);
       ASSERT_TRUE(stats.converged);
       ASSERT_TRUE(stats.warm_attempted);
       ASSERT_EQ(warm.values, exact) << "seed " << seed;
@@ -250,30 +250,7 @@ TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
       // The exact seed must be accepted outright, with its effectiveness
       // reported.
       ConstraintSystem warm = cold;
-      const SolveStats stats = solve_leftmost_worklist(warm, &exact);
-      EXPECT_TRUE(stats.warm_accepted);
-      EXPECT_EQ(stats.pops, 0u);
-    }
-
-    if (exact.empty()) continue;
-    const Coord width = *std::max_element(exact.begin(), exact.end());
-    std::vector<Coord> cold_upper;
-    solve_rightmost_worklist(cold, width, cold_upper);
-    for (const std::vector<Coord>* warm_seed :
-         {exact_ptr, const_cast<const std::vector<Coord>*>(&overshoot),
-          const_cast<const std::vector<Coord>*>(&garbage),
-          const_cast<const std::vector<Coord>*>(&cold_upper)}) {
-      ConstraintSystem warm = cold;
-      std::vector<Coord> upper;
-      const SolveStats stats = solve_rightmost_worklist(warm, width, upper, warm_seed);
-      ASSERT_TRUE(stats.converged);
-      ASSERT_TRUE(stats.warm_attempted);
-      ASSERT_EQ(upper, cold_upper) << "seed " << seed;
-    }
-    {
-      ConstraintSystem warm = cold;
-      std::vector<Coord> upper;
-      const SolveStats stats = solve_rightmost_worklist(warm, width, upper, &cold_upper);
+      const SolveStats stats = solve_leftmost_condensed(warm, &exact);
       EXPECT_TRUE(stats.warm_accepted);
       EXPECT_EQ(stats.pops, 0u);
     }
@@ -287,9 +264,7 @@ TEST(Incremental, WarmStartStillDetectsPositiveCycles) {
   system.add_constraint(a, b, 5, ConstraintKind::kSpacing);
   system.add_constraint(b, a, 5, ConstraintKind::kSpacing);
   const std::vector<Coord> seed{0, 10};
-  EXPECT_THROW(solve_leftmost_worklist(system, &seed), Error);
-  std::vector<Coord> upper;
-  EXPECT_THROW(solve_rightmost_worklist(system, 100, upper, &seed), Error);
+  EXPECT_THROW(solve_leftmost_condensed(system, &seed), Error);
 }
 
 TEST(Incremental, BothAxesInfeasibleTerminatesScheduleEarly) {
