@@ -2,18 +2,18 @@
 // longest-path solving on synthetic RAM-style grids of 1k/10k/50k/1M boxes.
 //
 // Three configurations sweep each size:
-//   naive     the §6.4.1 overconstraining pairwise generator (O(n^2) pairs)
-//             plus the pass-based Bellman–Ford solver
-//   scanline  the visibility scan-line generator (sweep net finder +
-//             ordered-segment profile) plus the pass-based solver
-//   worklist  compact_flat as the product runs it: the scan-line generator
-//             plus the condensed solver (SCCs in topological order). The
-//             row keeps its old name so the trajectory stays comparable.
+//   naive      the §6.4.1 overconstraining pairwise generator (O(n^2) pairs)
+//              plus the pass-based Bellman–Ford solver
+//   scanline   the visibility scan-line generator (sweep net finder +
+//              ordered-segment profile) plus the pass-based solver
+//   condensed  compact_flat as the product runs it: the scan-line generator
+//              plus the condensed solver (SCCs in topological order)
 //
 // compact_flat always runs the condensed solver, so the naive and scanline
 // rows assemble their pass the same way (normalize, build, solve, read the
-// width back) from ConstraintSystemBuilder and solve_leftmost directly.
-// The worklist row also runs a 1M-box field, the top of the trajectory.
+// geometry back) from the product's pass helpers plus the naive generator
+// and the pass-based solver of the test support library (tests/oracles).
+// The condensed row also runs a 1M-box field, the top of the trajectory.
 //
 // The solve-only rows time the condensed solver on adversarial rings:
 //   BM_SolveInfeasibleRing   n variables in one SCC whose single +1 edge
@@ -30,13 +30,13 @@
 
 #include <chrono>
 #include <cstdio>
-
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "compact/flat_compactor.hpp"
-#include "compact/synth_design.hpp"
+#include "oracles/pass_based_solver.hpp"
+#include "oracles/reference_constraints.hpp"
+#include "oracles/synth_design.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -70,7 +70,7 @@ struct PassResult {
 
 // One x pass of the configuration `mode` names.
 PassResult compact_once(const SynthField& field, const char* mode) {
-  if (mode[0] == 'w') {  // worklist
+  if (mode[0] == 'c') {  // condensed
     const FlatResult result =
         compact_flat(field.boxes, CompactionRules::mosis(), {}, field.stretchable);
     return {result.constraint_count, result.width_after};
@@ -78,26 +78,20 @@ PassResult compact_once(const SynthField& field, const char* mode) {
   Coord width_before = 0;
   std::vector<CompactionBox> boxes =
       normalized_compaction_boxes(field.boxes, field.stretchable, width_before);
-  BuilderOptions options;
-  options.generator =
-      mode[0] == 'n' ? ConstraintGenerator::kNaive : ConstraintGenerator::kScanline;
-  ConstraintSystemBuilder builder(CompactionRules::mosis(), options);
-  builder.emit_batch(boxes);
-  ConstraintSystem& system = builder.system();
-  solve_leftmost(system, EdgeOrder::kSorted);
+  ConstraintSystem system;
+  add_box_variables(system, boxes);
+  if (mode[0] == 'n') {
+    oracle::generate_constraints_naive(system, boxes, CompactionRules::mosis());
+  } else {
+    generate_constraints(system, boxes, CompactionRules::mosis());
+  }
+  oracle::solve_leftmost(system, oracle::EdgeOrder::kSorted);
   // Read the geometry back as compact_flat does, so every row pays the
   // same output cost.
   PassResult result;
   result.constraint_count = system.constraint_count();
   std::vector<LayerBox> out;
-  out.reserve(boxes.size());
-  for (const CompactionBox& cb : boxes) {
-    const Coord left = system.values[static_cast<std::size_t>(cb.left_var)];
-    const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
-    out.push_back(
-        {cb.geometry.layer, Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y)});
-    result.width_after = std::max(result.width_after, right);
-  }
+  result.width_after = read_solved_boxes(system, boxes, out);
   benchmark::DoNotOptimize(out.data());
   return result;
 }
@@ -116,11 +110,11 @@ void run_mode(benchmark::State& state, const char* mode) {
 
 void BM_CompactNaive(benchmark::State& state) { run_mode(state, "naive"); }
 void BM_CompactScanline(benchmark::State& state) { run_mode(state, "scanline"); }
-void BM_CompactWorklist(benchmark::State& state) { run_mode(state, "worklist"); }
+void BM_CompactCondensed(benchmark::State& state) { run_mode(state, "condensed"); }
 
 BENCHMARK(BM_CompactNaive)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompactScanline)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CompactWorklist)
+BENCHMARK(BM_CompactCondensed)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)
@@ -183,13 +177,13 @@ double time_once(int boxes, const char* mode) {
 void print_scaling_table() {
   std::printf("== compaction hot path at scale (§6.4) ==\n");
   std::printf("%-8s %-14s %-14s %-14s %-10s\n", "boxes", "naive(ms)", "scanline(ms)",
-              "worklist(ms)", "speedup");
+              "condensed(ms)", "speedup");
   for (const int n : {1000, 10000}) {
     const double naive = time_once(n, "naive");
     const double scan = time_once(n, "scanline");
-    const double work = time_once(n, "worklist");
+    const double condensed = time_once(n, "condensed");
     std::printf("%-8zu %-14.2f %-14.2f %-14.2f %-10.1f\n", field_of_size(n).boxes.size(), naive,
-                scan, work, naive / work);
+                scan, condensed, naive / condensed);
   }
   std::printf("speedup = naive / (scanline generation + condensed solve); the\n");
   std::printf("acceptance bar is >= 10x at the 10k size. 50k sizes run under\n");

@@ -5,14 +5,15 @@
 // fragmentation and allow the layout to shrink to the minimum width for
 // diffusion."
 //
-// Compares compacted widths under the naive pairwise generator and the
-// visibility scan line (whose net-awareness subsumes merging), for growing
-// fragment counts.
+// Compares compacted widths under the naive pairwise generator (from the
+// test support library, tests/oracles) and the visibility scan line (whose
+// net-awareness subsumes merging), for growing fragment counts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "compact/flat_compactor.hpp"
+#include "oracles/scratch_passes.hpp"
 
 namespace {
 
@@ -31,11 +32,10 @@ void BM_Fragmented(benchmark::State& state, bool naive) {
   const int n = static_cast<int>(state.range(0));
   const auto boxes = fragmented_bus(n);
   const std::vector<bool> stretch(boxes.size(), true);
-  FlatOptions options;
-  options.naive_constraints = naive;
   FlatResult result;
   for (auto _ : state) {
-    result = compact_flat(boxes, CompactionRules::mosis(), options, stretch);
+    result = naive ? oracle::compact_flat_naive(boxes, CompactionRules::mosis(), stretch)
+                   : compact_flat(boxes, CompactionRules::mosis(), {}, stretch);
     benchmark::DoNotOptimize(result.width_after);
   }
   state.counters["width_after"] = static_cast<double>(result.width_after);
@@ -54,9 +54,8 @@ void print_widths() {
   for (const int n : {4, 8, 32, 128, 256}) {
     const auto boxes = fragmented_bus(n);
     const std::vector<bool> stretch(boxes.size(), true);
-    FlatOptions naive;
-    naive.naive_constraints = true;
-    const Coord bad = compact_flat(boxes, CompactionRules::mosis(), naive, stretch).width_after;
+    const Coord bad =
+        oracle::compact_flat_naive(boxes, CompactionRules::mosis(), stretch).width_after;
     const Coord good = compact_flat(boxes, CompactionRules::mosis(), {}, stretch).width_after;
     std::printf("%-6d %-14lld %-18lld >= n*λ vs min-width\n", n,
                 static_cast<long long>(bad), static_cast<long long>(good));

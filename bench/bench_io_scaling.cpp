@@ -32,10 +32,10 @@
 
 #include "compact/design_rule_table.hpp"
 #include "compact/flat_compactor.hpp"
-#include "compact/synth_design.hpp"
 #include "io/cif_reader.hpp"
 #include "io/cif_writer.hpp"
 #include "io/def_writer.hpp"
+#include "oracles/synth_design.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>

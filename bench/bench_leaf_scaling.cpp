@@ -25,7 +25,7 @@
 #include <map>
 
 #include "compact/leaf_compactor.hpp"
-#include "compact/synth_design.hpp"
+#include "oracles/synth_design.hpp"
 
 namespace {
 

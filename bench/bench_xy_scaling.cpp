@@ -1,6 +1,8 @@
 // The x/y schedule at scale: scratch rebuilds vs the incremental engine
 // (dirty-band regeneration + warm-started solves) on synthetic RAM-style
-// grids of 1k/10k/50k boxes.
+// grids of 1k/10k/50k boxes. The incremental row is the product's
+// compact_flat_schedule; the scratch row is the reference loop of one-shot
+// compact_flat passes from the test support library (tests/oracles).
 //
 // Protocol: the fixed-work schedule the PR 3 benches established —
 // max_rounds = 8, stop_when_converged = false — so both modes do the same
@@ -19,8 +21,9 @@
 
 #include <cstdio>
 
-#include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
+#include "oracles/scratch_passes.hpp"
+#include "oracles/synth_design.hpp"
 
 namespace {
 
@@ -43,9 +46,10 @@ XyScheduleResult run_schedule(const SynthField& field, bool incremental) {
   XyScheduleOptions schedule;
   schedule.max_rounds = kRounds;
   schedule.stop_when_converged = false;
-  schedule.incremental = incremental;
-  return compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
-                               field.stretchable);
+  return incremental ? compact_flat_schedule(field.boxes, CompactionRules::mosis(), {},
+                                             schedule, field.stretchable)
+                     : oracle::compact_flat_schedule_scratch(
+                           field.boxes, CompactionRules::mosis(), schedule, field.stretchable);
 }
 
 double post_round_ms(const XyScheduleResult& result) {

@@ -4,17 +4,78 @@
 // (cells + pitches) is rebuilt from the result (§6.3), then both axes at
 // once through the leaf x/y schedule with the dual-simplex engine's
 // telemetry on display.
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "compact/flat_compactor.hpp"
 #include "compact/layer_expand.hpp"
 #include "compact/leaf_compactor.hpp"
-#include "compact/synth_design.hpp"
-#include "compact/xy_schedule.hpp"
 #include "layout/design_rules.hpp"
 
 using namespace rsg;
 using namespace rsg::compact;
+
+namespace {
+
+// A small 2-D leaf library: three cells of three two-box rows, chained by
+// horizontal interfaces (every cell to itself and to its successor) plus
+// one vertical self-interface per cell, so the library tiles as a grid.
+// Every pitch clears the widest MOSIS spacing (6) by the 8-unit clearance,
+// so the drawn library is a feasible starting point.
+struct LeafLibrary {
+  CellTable cells;
+  InterfaceTable interfaces;
+  std::vector<std::string> names;
+  std::vector<PitchSpec> specs;
+};
+
+LeafLibrary make_grid_library() {
+  constexpr Layer kLayers[4] = {Layer::kMetal1, Layer::kPoly, Layer::kDiffusion, Layer::kMetal2};
+  constexpr int kCells = 3;
+  constexpr Coord kClearance = 8;
+  constexpr Coord kHeight = 2 * 20 + 4;  // rows at y = 0, 20, 40, 4 tall
+  LeafLibrary lib;
+  std::vector<Coord> widths;
+  for (int c = 0; c < kCells; ++c) {
+    lib.names.push_back("leaf" + std::to_string(c));
+    Cell& cell = lib.cells.create(lib.names.back());
+    Coord width = 0;
+    for (int r = 0; r < 3; ++r) {
+      const Coord y = 20 * r;
+      const Coord x1 = r == 0 ? 0 : (c + r) % 3;  // row 0 anchors the cell's left edge
+      const Coord w1 = 6 + 2 * ((c + 2 * r) % 4);
+      const Coord x2 = x1 + w1 + kClearance + (c * r) % 5;
+      const Coord w2 = 8 + (c + r) % 5;
+      cell.add_box(kLayers[(c + r) % 4], Box(x1, y, x1 + w1, y + 4));
+      cell.add_box(kLayers[(c + r + 2) % 4], Box(x2, y, x2 + w2, y + 4));
+      width = std::max(width, x2 + w2);
+    }
+    widths.push_back(width);
+  }
+  for (int c = 0; c < kCells; ++c) {
+    const std::string& name = lib.names[static_cast<std::size_t>(c)];
+    const Interface east{{widths[static_cast<std::size_t>(c)] + kClearance, 0},
+                         Orientation::kNorth};
+    lib.interfaces.declare(name, name, 1, east);
+    lib.specs.push_back({name, name, 1, 1.0 + c % 3});
+    if (c + 1 < kCells) {
+      const std::string& next = lib.names[static_cast<std::size_t>(c) + 1];
+      lib.interfaces.declare(name, next, 1, east);
+      lib.specs.push_back({name, next, 1, 1.0 + (c + 1) % 2});
+    }
+  }
+  for (int c = 0; c < kCells; ++c) {
+    const std::string& name = lib.names[static_cast<std::size_t>(c)];
+    lib.interfaces.declare(name, name, 2,
+                           Interface{{0, kHeight + kClearance}, Orientation::kNorth});
+    lib.specs.push_back({name, name, 2, 1.0 + c % 2});
+  }
+  return lib;
+}
+
+}  // namespace
 
 int main() {
   try {
@@ -71,11 +132,11 @@ int main() {
               << new_interfaces.get("bitcell", "bitcell", 1).vector.x << "\n";
 
     // --- Leaf x/y schedule (both axes, dual engine) ---------------------------
-    // A synthetic 2-D library: horizontal chain pitches plus vertical
+    // A small 2-D library: horizontal chain pitches plus vertical
     // self-pitches, alternated to a pitch/objective fixpoint.
-    const SynthLeafLibrary lib = make_leaf_library_2d(4, 6, /*seed=*/1);
-    const LeafXyResult xy = compact_leaf_schedule(lib.cells, lib.interfaces, lib.cell_names,
-                                                  lib.pitch_specs, CompactionRules::mosis());
+    const LeafLibrary lib = make_grid_library();
+    const LeafXyResult xy = compact_leaf_schedule(lib.cells, lib.interfaces, lib.names,
+                                                  lib.specs, CompactionRules::mosis());
     std::cout << "leaf x/y schedule: " << xy.rounds << " round(s), "
               << (xy.converged ? "converged" : "capped") << "; " << xy.lp_total.iterations
               << " LP pivots total (" << xy.lp_total.dual_pivots << " dual, "

@@ -61,7 +61,7 @@ run_bench bench_orientations "$OUT"
 # The 1k and 10k points of the scaling sweep, and of the adversarial ring
 # solves — fast enough for CI (the naive 10k configuration is ~1/3 s per
 # repetition). Run the binary with no filter locally for the full
-# 1k/10k/50k trajectory and the 1M worklist point.
+# 1k/10k/50k trajectory and the 1M condensed point.
 run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
 # The solve_lp sweep at the CI-sized library counts (the full 2..256-cell
 # trajectory and the primal-vs-dual table need a local run), plus the
@@ -69,7 +69,8 @@ run_bench bench_compact_scaling "$SCALING_OUT" '/(1000|10000)$'
 # feeds the warm-start gate below. The size alternation is anchored on
 # both sides so it cannot accidentally match /128 or /256.
 run_bench bench_leaf_scaling "$LEAF_OUT" 'BM_LeafSolveSparseDual/(2|4|8)$|BM_LeafSchedule(Warm|Cold)/(8|32)$'
-# The scratch-vs-incremental x/y schedule at the 10k acceptance size.
+# The scratch-vs-incremental x/y schedule at the 10k acceptance size (the
+# scratch row is the one-shot-pass reference loop of tests/oracles).
 run_bench bench_xy_scaling "$XY_OUT" '/10000$'
 # The streaming I/O pipeline at the 100k size (the bounded-buffer contract
 # is asserted inside the benchmark — a violation turns into an error_occurred

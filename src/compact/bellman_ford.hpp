@@ -6,12 +6,11 @@
 // solver instead): each constraint's pitch term is read from
 // system.pitch_values and folded into its weight.
 //
-// §6.4.2's observation is reproduced exactly by the pass-based baseline:
-// traversing edges sorted by the initial abscissa of their source makes the
-// initial ordering a good estimate of the final one, and "in the case where
-// the initial ordering is preserved in the final layout exactly one
-// relaxation step is required instead of the |V| required in the worst
-// case" — bench_t642_bellman counts the passes both ways.
+// §6.4.2 sorts the edges by the initial abscissa of their source, so that
+// "in the case where the initial ordering is preserved in the final layout
+// exactly one relaxation step is required instead of the |V| required in
+// the worst case". That pass-based baseline lives in the test support
+// library (tests/oracles), where bench_t642_bellman counts its passes.
 //
 // The condensed solvers every compaction path runs get that one-step bound
 // by construction instead of by ordering. A constraint graph is a DAG of
@@ -67,22 +66,10 @@ struct SolveStats {
   std::size_t warm_pops_saved = 0;
 };
 
-enum class EdgeOrder {
-  kSorted,     // by the source variable's initial abscissa (§6.4.2)
-  kInsertion,  // as generated
-  kReversed,   // adversarial: worst case for the relaxation count
-};
-
-// The pass-based solver: full edge-list sweeps in `order` until fixpoint —
-// the §6.4.2 baseline whose pass count bench_t642_bellman reports. Solves
-// into system.values. Throws rsg::Error on infeasible systems (a positive
-// cycle — the layout cannot satisfy its own constraints).
-SolveStats solve_leftmost(ConstraintSystem& system, EdgeOrder order = EdgeOrder::kSorted);
-
 // The condensed solver (see the header comment): the least solution with
 // every variable >= 0, into system.values. The least solution is unique, so
-// the values are identical to solve_leftmost's; infeasible systems throw
-// the same rsg::Error.
+// the values are identical to the pass-based baseline's; infeasible systems
+// throw rsg::Error.
 //
 // `warm_seed` (optional, size == variable_count) is accepted as the answer
 // only when it satisfies every constraint (the X >= 0 floor included) and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compact/xy_schedule.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -14,28 +13,6 @@ std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes) {
     out.push_back({lb.layer, Box(lb.box.lo.y, lb.box.lo.x, lb.box.hi.y, lb.box.hi.x)});
   }
   return out;
-}
-
-FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                          const FlatOptions& options, const std::vector<bool>& stretchable) {
-  FlatResult result = compact_flat(transposed_boxes(boxes), rules, options, stretchable);
-  result.boxes = transposed_boxes(result.boxes);
-  return result;
-}
-
-XyResult compact_flat_xy(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                         const FlatOptions& options, const std::vector<bool>& stretchable) {
-  XyScheduleOptions one_round;
-  one_round.max_rounds = 1;
-  const XyScheduleResult full =
-      compact_flat_schedule(boxes, rules, options, one_round, stretchable);
-  XyResult result;
-  result.boxes = full.boxes;
-  result.width_before = full.width_before;
-  result.width_after = full.width_after;
-  result.height_before = full.height_before;
-  result.height_after = full.height_after;
-  return result;
 }
 
 std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBox>& boxes,
@@ -69,34 +46,35 @@ std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBo
   return cboxes;
 }
 
+Coord read_solved_boxes(const ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                        std::vector<LayerBox>& out) {
+  out.reserve(out.size() + boxes.size());
+  Coord width = 0;
+  for (const CompactionBox& cb : boxes) {
+    const Coord left = system.values[static_cast<std::size_t>(cb.left_var)];
+    const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
+    out.push_back(
+        {cb.geometry.layer, Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y)});
+    width = std::max(width, right);
+  }
+  return width;
+}
+
 FlatResult compact_flat(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
                         const FlatOptions& options, const std::vector<bool>& stretchable) {
   FlatResult result;
   std::vector<CompactionBox> cboxes =
       normalized_compaction_boxes(boxes, stretchable, result.width_before);
 
-  BuilderOptions builder_options;
-  builder_options.generator = options.naive_constraints ? ConstraintGenerator::kNaive
-                                                        : ConstraintGenerator::kScanline;
-  ConstraintSystemBuilder builder(rules, builder_options);
-  builder.emit_batch(cboxes);
-  ConstraintSystem& system = builder.system();
+  ConstraintSystem system;
+  add_box_variables(system, cboxes);
+  generate_constraints(system, cboxes, rules);
   result.constraint_count = system.constraint_count();
   result.variable_count = system.variable_count();
 
   result.solve = solve_leftmost_condensed(system);
   if (options.apply_rubber_band) result.rubber = rubber_band(system);
-
-  result.boxes.reserve(cboxes.size());
-  Coord width = 0;
-  for (const CompactionBox& cb : cboxes) {
-    const Coord left = system.values[static_cast<std::size_t>(cb.left_var)];
-    const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
-    result.boxes.push_back(
-        {cb.geometry.layer, Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y)});
-    width = std::max(width, right);
-  }
-  result.width_after = width;
+  result.width_after = read_solved_boxes(system, cboxes, result.boxes);
   return result;
 }
 

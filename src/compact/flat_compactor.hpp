@@ -1,5 +1,5 @@
 // Flat one-dimensional compaction — the experimental compactor of §6.4,
-// assembled from the scan-line constraint generator, the Bellman–Ford
+// assembled from the scan-line constraint generator, the longest-path
 // solver and the rubber-band post-pass. Compacts in x; y coordinates are
 // fixed (horizontal edges "shrink or expand in response to the displacement
 // of the vertical edges", §6.3).
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "compact/bellman_ford.hpp"
-#include "compact/constraint_builder.hpp"
 #include "compact/design_rule_table.hpp"
 #include "compact/rubber_band.hpp"
 #include "compact/scanline.hpp"
@@ -17,7 +16,6 @@ namespace rsg::compact {
 
 struct FlatOptions {
   bool apply_rubber_band = false;
-  bool naive_constraints = false;  // the Figure 6.5 overconstraining baseline
 };
 
 struct FlatResult {
@@ -46,31 +44,17 @@ std::vector<CompactionBox> normalized_compaction_boxes(const std::vector<LayerBo
                                                        const std::vector<bool>& stretchable,
                                                        Coord& width_before);
 
-// Axis swap used by every y-by-transposition path (compact_flat_y, the
-// incremental engine, tests): [lo.y, lo.x, hi.y, hi.x] per box.
-std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes);
+// The shared pass epilogue: each box's x extent read back from its solved
+// edge variables (y unchanged) into `out`. Returns the compacted width,
+// the rightmost right edge.
+Coord read_solved_boxes(const ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                        std::vector<LayerBox>& out);
 
-// y compaction by transposition: swap axes, compact in x, swap back. The
+// Axis swap used by every y-by-transposition path (the incremental
+// engine's y passes, tests): [lo.y, lo.x, hi.y, hi.x] per box. The
 // thesis's compactor is one-dimensional (§6.3, "we will restrict ourselves
-// to one dimensional compaction in the x dimension"); alternating the two
-// is the classic schedule its one-dimensional framing implies.
-FlatResult compact_flat_y(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                          const FlatOptions& options = {},
-                          const std::vector<bool>& stretchable = {});
-
-struct XyResult {
-  std::vector<LayerBox> boxes;
-  Coord width_before = 0;
-  Coord width_after = 0;
-  Coord height_before = 0;
-  Coord height_after = 0;
-};
-
-// One x pass followed by one y pass — a single round of the alternating
-// schedule in compact/xy_schedule.hpp, which also handles convergence-
-// driven multi-round alternation.
-XyResult compact_flat_xy(const std::vector<LayerBox>& boxes, const CompactionRules& rules,
-                         const FlatOptions& options = {},
-                         const std::vector<bool>& stretchable = {});
+// to one dimensional compaction in the x dimension"); y compaction is an x
+// pass over the transposed layout.
+std::vector<LayerBox> transposed_boxes(const std::vector<LayerBox>& boxes);
 
 }  // namespace rsg::compact

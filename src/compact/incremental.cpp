@@ -105,11 +105,7 @@ IncrementalCompactor::IncrementalCompactor(const CompactionRules& rules,
     : rules_(rules),
       options_(options),
       incremental_(incremental),
-      stretchable_(std::move(stretchable)) {
-  if (options_.naive_constraints) {
-    throw Error("incremental compaction: the naive generator has no band structure");
-  }
-}
+      stretchable_(std::move(stretchable)) {}
 
 void IncrementalCompactor::corrupt_cached_system_for_testing(bool y_axis) {
   AxisState& state = y_axis ? y_ : x_;
@@ -244,16 +240,7 @@ FlatResult IncrementalCompactor::pass(AxisState& state, const std::vector<LayerB
     result.rubber = rubber_band(system);
   }
 
-  result.boxes.reserve(cboxes.size());
-  Coord width = 0;
-  for (const CompactionBox& cb : cboxes) {
-    const Coord left = system.values[static_cast<std::size_t>(cb.left_var)];
-    const Coord right = system.values[static_cast<std::size_t>(cb.right_var)];
-    result.boxes.push_back(
-        {cb.geometry.layer, Box(left, cb.geometry.box.lo.y, right, cb.geometry.box.hi.y)});
-    width = std::max(width, right);
-  }
-  result.width_after = width;
+  result.width_after = read_solved_boxes(system, cboxes, result.boxes);
   return result;
 }
 

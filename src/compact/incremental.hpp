@@ -1,9 +1,10 @@
-// The incremental x/y compaction engine.
+// The incremental x/y compaction engine — the only pass path of the
+// alternating schedule (compact/xy_schedule.hpp).
 //
-// PR 3's alternating schedule (compact/xy_schedule.hpp) rebuilds the whole
-// constraint system and cold-starts the solver on every pass, even when a
-// late round moves a handful of boxes. This engine keeps persistent
-// per-axis state across passes and regenerates only what moved:
+// Rebuilding the whole constraint system and cold-starting the solver on
+// every pass (one compact_flat per axis per round) repeats all the work
+// even when a late round moves a handful of boxes. This engine keeps
+// persistent per-axis state across passes and regenerates only what moved:
 //
 //   * The sweep is band-sharded (scanline.hpp): each (layer, y band) shard
 //     stores its partner list plus a 64-bit hash of its participating
@@ -22,7 +23,9 @@
 //
 // `check_byte_identity` also builds the scratch stream on every pass
 // and throws on any divergence — the mode the equivalence tests and
-// suspicious production runs use.
+// suspicious production runs use. The scratch schedule itself (one-shot
+// compact_flat passes) is a reference loop in the test support library
+// (tests/oracles), which the byte-identity tests and bench_xy_scaling run.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +77,7 @@ class IncrementalCompactor {
                        std::vector<bool> stretchable = {});
 
   // One x (y) pass: byte-identical in constraints and geometry to
-  // compact_flat (compact_flat_y) on the same input. Throws rsg::Error on
+  // compact_flat on the same (transposed) input. Throws rsg::Error on
   // infeasible systems, leaving the shard cache valid for the next pass.
   FlatResult compact_x(const std::vector<LayerBox>& boxes);
   FlatResult compact_y(const std::vector<LayerBox>& boxes);

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "compact/constraint_builder.hpp"
 #include "compact/flat_compactor.hpp"  // transposed_boxes
 #include "layout/flatten.hpp"
 #include "support/error.hpp"
@@ -67,8 +66,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
                           const std::vector<PitchSpec>& pitch_specs, const CompactionRules& rules,
                           double width_weight, const std::vector<Layer>& stretchable_layers) {
   LeafLpModel model;
-  ConstraintSystemBuilder builder(rules);
-  ConstraintSystem& system = builder.system();
+  ConstraintSystem& system = model.system;
   std::map<std::string, BatchVars> batch_vars;
 
   // One shared set of edge variables per CELL — the folding that forces
@@ -98,7 +96,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
   for (const std::string& name : cell_names) {
     std::vector<CompactionBox> batch =
         cell_batch(model.cells.at(name), batch_vars.at(name).stretchable);
-    builder.emit_batch(batch);
+    generate_constraints(system, batch, rules);
   }
 
   // Pitch variables + inter-cell constraints from each interface's pair
@@ -140,7 +138,7 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
       cb.pitch_coeff = 1;
       pair.push_back(cb);
     }
-    builder.emit_batch(pair);
+    generate_constraints(system, pair, rules);
   }
 
   // LP: minimize Σ weight_s λ_s + width_weight Σ (R - L), subject to the
@@ -189,7 +187,6 @@ LeafLpModel build_leaf_lp(const CellTable& cells, const InterfaceTable& interfac
     pin.rhs = 0.0;
     model.lp.constraints.push_back(std::move(pin));
   }
-  model.system = std::move(builder.system());
   return model;
 }
 

@@ -15,7 +15,8 @@
 //
 // The pipeline is split so the LP scaling benchmark and the LP equivalence
 // tests can hold the model fixed: build_leaf_lp() assembles the shared
-// constraint system (through ConstraintSystemBuilder) and its LP view;
+// constraint system (the scan-line generator, one batch per cell and per
+// interface pair layout) and its LP view;
 // solve_leaf_model() runs solve_lp (compact/simplex.hpp), rounds,
 // verifies, and rebuilds the geometry; compact_leaf_cells() is the two
 // chained. The compaction objective is emitted componentwise nonnegative

@@ -12,16 +12,11 @@
 
 namespace rsg::compact {
 
-// How the equality pairs (u -> v, w) matched by (v -> u, -w) are found.
-enum class RigidMatch {
-  kHashed,     // hashed (from, to, weight) edge index: O(m) expected
-  kQuadratic,  // all-pairs scan over the constraint list: O(m^2), kept as
-               // the equivalence baseline for the property tests
-};
-
 class RigidGroups {
  public:
-  explicit RigidGroups(const ConstraintSystem& system, RigidMatch match = RigidMatch::kHashed);
+  // Finds every equality pair (u -> v, w) matched by (v -> u, -w) through a
+  // hashed (from, to, weight) edge index: O(m) expected.
+  explicit RigidGroups(const ConstraintSystem& system);
 
   std::size_t leader(std::size_t v);
 

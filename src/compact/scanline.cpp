@@ -6,11 +6,13 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "compact/scanline_detail.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -96,171 +98,82 @@ class ActiveBoxes {
   std::vector<Coord> min_lo_;
 };
 
-// Union-find over same-layer touching boxes: boxes of one electrical net
+// Net labels over same-layer touching boxes: boxes of one electrical net
 // must not receive spacing constraints against each other (they hold
 // kConnect constraints instead). This is the net knowledge that plain box
 // merging (§6.4.1) would provide but that device/bus tagging forbids.
 //
-// Two builders populate the same structure: a per-layer sort/sweep over the
-// x extents (boxes abut only while their x intervals overlap, so each box
-// only meets the still-active boxes of the sweep, enumerated through the
-// ActiveBoxes tree), and the all-pairs scan kept as the equivalence
-// baseline. Both unite exactly the abutting pairs, so the resulting
-// connectivity is identical.
-class NetFinder {
- public:
-  enum class Strategy { kSweep, kQuadratic };
-
-  explicit NetFinder(const std::vector<CompactionBox>& boxes,
-                     Strategy strategy = Strategy::kSweep)
-      : parent_(boxes.size()) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-    if (strategy == Strategy::kQuadratic) {
-      build_quadratic(boxes);
-    } else {
-      build_sweep(boxes);
-    }
-  }
-
-  bool same_net(std::size_t a, std::size_t b) { return find(a) == find(b); }
-
- private:
-  void build_quadratic(const std::vector<CompactionBox>& boxes) {
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      for (std::size_t j = i + 1; j < boxes.size(); ++j) {
-        if (boxes[i].geometry.layer != boxes[j].geometry.layer) continue;
-        if (boxes[i].geometry.box.abuts_or_intersects(boxes[j].geometry.box)) {
-          unite(i, j);
-        }
-      }
-    }
-  }
-
-  void build_sweep(const std::vector<CompactionBox>& boxes) {
-    std::vector<std::vector<std::size_t>> by_layer(kNumLayers);
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      by_layer[static_cast<std::size_t>(boxes[i].geometry.layer)].push_back(i);
-    }
-    for (std::vector<std::size_t>& layer : by_layer) {
-      std::sort(layer.begin(), layer.end(), [&](std::size_t i, std::size_t j) {
-        const Box& a = boxes[i].geometry.box;
-        const Box& b = boxes[j].geometry.box;
-        return std::tuple(a.lo.x, a.hi.x, i) < std::tuple(b.lo.x, b.hi.x, j);
-      });
-      // Active boxes (x interval still reaching the sweep line) live in the
-      // segment tree, with a min-heap on the right edge for expiry.
-      std::vector<Coord> tops;
-      tops.reserve(layer.size());
-      for (const std::size_t i : layer) tops.push_back(boxes[i].geometry.box.hi.y);
-      std::sort(tops.begin(), tops.end());
-      tops.erase(std::unique(tops.begin(), tops.end()), tops.end());
-      ActiveBoxes active(std::move(tops));
-
-      struct Expiry {
-        Coord hi_x;
-        std::size_t leaf;
-        Coord lo_y;
-        std::size_t box;
-      };
-      const auto expires_later = [](const Expiry& a, const Expiry& b) {
-        return a.hi_x > b.hi_x;
-      };
-      std::priority_queue<Expiry, std::vector<Expiry>, decltype(expires_later)> expiry(
-          expires_later);
-      for (const std::size_t ib : layer) {
-        const Box& b = boxes[ib].geometry.box;
-        // The sweep only moves right: once a box ends left of the current
-        // left edge it can never abut a later box.
-        while (!expiry.empty() && expiry.top().hi_x < b.lo.x) {
-          const Expiry& gone = expiry.top();
-          active.erase(gone.leaf, gone.lo_y, gone.box);
-          expiry.pop();
-        }
-        active.for_each_touching(b.lo.y, b.hi.y, [&](std::size_t ia) { unite(ia, ib); });
-        const std::size_t leaf = active.leaf_of(b.hi.y);
-        active.insert(leaf, b.lo.y, ib);
-        expiry.push({b.hi.x, leaf, b.lo.y, ib});
-      }
-    }
-  }
-
-  std::size_t find(std::size_t v) {
-    while (parent_[v] != v) {
-      parent_[v] = parent_[parent_[v]];
-      v = parent_[v];
+// A per-layer sort/sweep over the x extents unites the abutting pairs:
+// boxes abut only while their x intervals overlap, so each box only meets
+// the still-active boxes of the sweep, enumerated through the ActiveBoxes
+// tree. Returns one union-find root per box.
+std::vector<std::size_t> net_labels(const std::vector<CompactionBox>& boxes) {
+  std::vector<std::size_t> parent(boxes.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&](std::size_t v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
     }
     return v;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
-  std::vector<std::size_t> parent_;
-};
-
-// Per-layer visibility profile: disjoint y segments, each remembering the
-// box a left-looking viewer sees there (Figure 6.7). Linear reference
-// implementation: every query and insert scans the whole segment list.
-class LinearProfile {
- public:
-  struct Segment {
-    Coord y0;
-    Coord y1;
-    std::size_t box;
   };
 
-  void query(Coord y0, Coord y1, std::vector<std::size_t>& seen) const {
-    for (const Segment& s : segments_) {
-      if (s.y1 > y0 && s.y0 < y1) seen.push_back(s.box);
+  std::vector<std::vector<std::size_t>> by_layer(kNumLayers);
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    by_layer[static_cast<std::size_t>(boxes[i].geometry.layer)].push_back(i);
+  }
+  for (std::vector<std::size_t>& layer : by_layer) {
+    std::sort(layer.begin(), layer.end(), [&](std::size_t i, std::size_t j) {
+      const Box& a = boxes[i].geometry.box;
+      const Box& b = boxes[j].geometry.box;
+      return std::tuple(a.lo.x, a.hi.x, i) < std::tuple(b.lo.x, b.hi.x, j);
+    });
+    // Active boxes (x interval still reaching the sweep line) live in the
+    // segment tree, with a min-heap on the right edge for expiry.
+    std::vector<Coord> tops;
+    tops.reserve(layer.size());
+    for (const std::size_t i : layer) tops.push_back(boxes[i].geometry.box.hi.y);
+    std::sort(tops.begin(), tops.end());
+    tops.erase(std::unique(tops.begin(), tops.end()), tops.end());
+    ActiveBoxes active(std::move(tops));
+
+    struct Expiry {
+      Coord hi_x;
+      std::size_t leaf;
+      Coord lo_y;
+      std::size_t box;
+    };
+    const auto expires_later = [](const Expiry& a, const Expiry& b) { return a.hi_x > b.hi_x; };
+    std::priority_queue<Expiry, std::vector<Expiry>, decltype(expires_later)> expiry(
+        expires_later);
+    for (const std::size_t ib : layer) {
+      const Box& b = boxes[ib].geometry.box;
+      // The sweep only moves right: once a box ends left of the current
+      // left edge it can never abut a later box.
+      while (!expiry.empty() && expiry.top().hi_x < b.lo.x) {
+        const Expiry& gone = expiry.top();
+        active.erase(gone.leaf, gone.lo_y, gone.box);
+        expiry.pop();
+      }
+      active.for_each_touching(b.lo.y, b.hi.y,
+                               [&](std::size_t ia) { parent[find(ia)] = find(ib); });
+      const std::size_t leaf = active.leaf_of(b.hi.y);
+      active.insert(leaf, b.lo.y, ib);
+      expiry.push({b.hi.x, leaf, b.lo.y, ib});
     }
   }
+  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = find(i);
+  return parent;
+}
 
-  // Inserts [y0, y1) -> box. Where the range overlaps an existing segment,
-  // the box whose right edge reaches further stays visible.
-  void insert(Coord y0, Coord y1, std::size_t box,
-              const std::vector<CompactionBox>& boxes) {
-    std::vector<Segment> next;
-    std::vector<Segment> pieces{{y0, y1, box}};
-    for (const Segment& s : segments_) {
-      if (s.y1 <= y0 || s.y0 >= y1) {
-        next.push_back(s);
-        continue;
-      }
-      // Split the existing segment around the overlap.
-      if (s.y0 < y0) next.push_back({s.y0, y0, s.box});
-      if (s.y1 > y1) next.push_back({y1, s.y1, s.box});
-      const Coord o0 = std::max(s.y0, y0);
-      const Coord o1 = std::min(s.y1, y1);
-      if (boxes[s.box].geometry.box.hi.x > boxes[box].geometry.box.hi.x) {
-        // The old box still sticks out further right: it stays visible in
-        // the overlap, and the new box's piece there is dropped.
-        next.push_back({o0, o1, s.box});
-        std::vector<Segment> remaining;
-        for (Segment& piece : pieces) {
-          if (piece.y1 <= o0 || piece.y0 >= o1) {
-            remaining.push_back(piece);
-            continue;
-          }
-          if (piece.y0 < o0) remaining.push_back({piece.y0, o0, piece.box});
-          if (piece.y1 > o1) remaining.push_back({o1, piece.y1, piece.box});
-        }
-        pieces = std::move(remaining);
-      }
-    }
-    for (const Segment& piece : pieces) {
-      if (piece.y0 < piece.y1) next.push_back(piece);
-    }
-    segments_ = std::move(next);
-  }
-
- private:
-  std::vector<Segment> segments_;
-};
-
-// The scaled profile: the same disjoint segments, keyed by their start in a
-// std::map so query and insert touch only the O(log n + k) segments that
-// overlap the window instead of the whole list. Produces the identical
-// visible-box set at every y point (the per-point winner rule is the same),
-// so constraint generation is byte-identical to LinearProfile — adjacent
-// same-box segments are merely coalesced more eagerly.
+// Per-layer visibility profile: disjoint y segments, each remembering the
+// box a left-looking viewer sees there (Figure 6.7), keyed by their start
+// in a std::map so query and insert touch only the O(log n + k) segments
+// that overlap the window instead of the whole list. Produces the identical
+// visible-box set at every y point as the linear-scan reference profile of
+// the test support library (the per-point winner rule is the same), so
+// constraint generation is byte-identical to it — adjacent same-box
+// segments are merely coalesced more eagerly.
 class OrderedProfile {
  public:
   void query(Coord y0, Coord y1, std::vector<std::size_t>& seen) const {
@@ -357,7 +270,7 @@ void add_width_and_anchor(ConstraintSystem& system, const std::vector<Compaction
 
 void emit_pair_constraint(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
                           std::size_t ia, std::size_t ib, const CompactionRules& rules,
-                          NetFinder& nets) {
+                          const std::vector<std::size_t>& net) {
   const CompactionBox& a = boxes[ia];
   const CompactionBox& b = boxes[ib];
   const Layer la = a.geometry.layer;
@@ -391,7 +304,7 @@ void emit_pair_constraint(ConstraintSystem& system, const std::vector<Compaction
     system.add_constraint(c);
   };
 
-  if (la == lb && nets.same_net(ia, ib)) {
+  if (la == lb && net[ia] == net[ib]) {
     if (a.geometry.box.abuts_or_intersects(b.geometry.box)) {
       // Electrical continuity: b must keep touching a, and the left-edge
       // order is preserved so the net cannot turn itself inside out.
@@ -432,80 +345,6 @@ void emit_pair_constraint(ConstraintSystem& system, const std::vector<Compaction
   } else {
     constrain(b.right_var, b.pitch, b.pitch_coeff, a.left_var, a.pitch, a.pitch_coeff, s,
               ConstraintKind::kSpacing);
-  }
-}
-
-// The visible partners one profile layer contributes, recorded per sweep
-// position: partners of the box at sweep position p live in
-// items[offsets[p] .. offsets[p + 1]).
-struct PartnerList {
-  std::vector<std::size_t> items;
-  std::vector<std::size_t> offsets;
-};
-
-// One profile layer's share of the Figure 6.7 sweep: walk the boxes in
-// sweep order, query this layer's profile for each box whose layer equals
-// or interacts with it, and insert the boxes of this layer. Each box lives
-// in exactly one layer's profile, so the per-layer sweeps are independent.
-template <class ProfileT>
-void discover_layer_partners(int li, const std::vector<CompactionBox>& boxes,
-                             const std::vector<std::size_t>& order, const CompactionRules& rules,
-                             PartnerList& out) {
-  const Layer la = static_cast<Layer>(li);
-  ProfileT profile;
-  out.items.clear();
-  out.offsets.assign(order.size() + 1, 0);
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    out.offsets[p] = out.items.size();
-    const CompactionBox& b = boxes[order[p]];
-    const Layer lb = b.geometry.layer;
-    const bool same = (la == lb);
-    if (same || rules.interacts(la, lb)) {
-      // Shadow margin: boxes within spacing distance in y still constrain.
-      const Coord margin = same ? std::max<Coord>(rules.spacing(la, lb), 1)
-                                : rules.spacing(la, lb);
-      profile.query(b.geometry.box.lo.y - margin, b.geometry.box.hi.y + margin, out.items);
-    }
-    if (same) {
-      profile.insert(b.geometry.box.lo.y, b.geometry.box.hi.y, order[p], boxes);
-    }
-  }
-  out.offsets[order.size()] = out.items.size();
-}
-
-// The pre-scaling reference driver, parameterized over the profile
-// implementation. Each profile layer contributes its visible partners
-// independently; per box the contributions are concatenated, deduplicated
-// and sorted by box index before emission. The scaled path (shards, below)
-// must reproduce this constraint stream byte for byte.
-template <class ProfileT>
-void generate_constraints_impl(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                               const CompactionRules& rules, NetFinder& nets) {
-  add_width_and_anchor(system, boxes, rules);
-  const std::vector<std::size_t> order = sweep_order(boxes);
-
-  std::vector<PartnerList> per_layer(kNumLayers);
-  for (int li = 0; li < kNumLayers; ++li) {
-    discover_layer_partners<ProfileT>(li, boxes, order, rules,
-                                      per_layer[static_cast<std::size_t>(li)]);
-  }
-
-  // Deterministic merge: per sweep position, gather every layer's partners
-  // (layer index order), then sort + dedup exactly as the one-pass sweep
-  // did with its shared `seen` buffer.
-  std::vector<std::size_t> seen;
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    const std::size_t ib = order[p];
-    seen.clear();
-    for (const PartnerList& layer : per_layer) {
-      seen.insert(seen.end(), layer.items.begin() + static_cast<std::ptrdiff_t>(layer.offsets[p]),
-                  layer.items.begin() + static_cast<std::ptrdiff_t>(layer.offsets[p + 1]));
-    }
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (const std::size_t ia : seen) {
-      if (ia != ib) emit_pair_constraint(system, boxes, ia, ib, rules, nets);
-    }
   }
 }
 
@@ -621,14 +460,31 @@ void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<Compactio
   }
 }
 
+namespace detail {
+
+void emit_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                      const std::vector<std::size_t>& order, const CompactionRules& rules,
+                      const std::vector<std::size_t>& offsets, std::vector<std::size_t>& partners,
+                      const std::vector<std::size_t>& net) {
+  add_width_and_anchor(system, boxes, rules);
+  for (const std::size_t ib : order) {
+    const auto first = partners.begin() + static_cast<std::ptrdiff_t>(offsets[ib]);
+    const auto last = partners.begin() + static_cast<std::ptrdiff_t>(offsets[ib + 1]);
+    std::sort(first, last);
+    for (auto it = first; it != last; ++it) {
+      if (*it == ib || (it != first && *it == *(it - 1))) continue;
+      emit_pair_constraint(system, boxes, *it, ib, rules, net);
+    }
+  }
+}
+
+}  // namespace detail
+
 void emit_constraints_from_shards(ConstraintSystem& system,
                                   const std::vector<CompactionBox>& boxes,
                                   const std::vector<std::size_t>& order,
                                   const CompactionRules& rules,
                                   const std::vector<const SweepShard*>& shards) {
-  NetFinder nets(boxes, NetFinder::Strategy::kSweep);
-  add_width_and_anchor(system, boxes, rules);
-
   // Scatter the shard runs into one partner CSR keyed by box index. The
   // scatter order across shards is irrelevant: the per-box merge sorts and
   // deduplicates, which is what pins the emitted stream.
@@ -650,22 +506,11 @@ void emit_constraints_from_shards(ConstraintSystem& system,
       }
     }
   }
-
-  std::vector<std::size_t> seen;
-  for (const std::size_t ib : order) {
-    seen.assign(merged.begin() + static_cast<std::ptrdiff_t>(counts[ib]),
-                merged.begin() + static_cast<std::ptrdiff_t>(counts[ib + 1]));
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (const std::size_t ia : seen) {
-      if (ia != ib) emit_pair_constraint(system, boxes, ia, ib, rules, nets);
-    }
-  }
+  detail::emit_constraints(system, boxes, order, rules, counts, merged, net_labels(boxes));
 }
 
-void generate_constraints_banded(ConstraintSystem& system,
-                                 const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands) {
+void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
+                          const CompactionRules& rules, int bands) {
   const std::vector<std::size_t> order = sweep_order(boxes);
   const std::vector<Coord> cuts = band_cuts(boxes, std::max(bands, 1));
   std::vector<SweepShard> shards(static_cast<std::size_t>(kNumLayers) * (cuts.size() - 1));
@@ -676,46 +521,6 @@ void generate_constraints_banded(ConstraintSystem& system,
   views.reserve(shards.size());
   for (const SweepShard& s : shards) views.push_back(&s);
   emit_constraints_from_shards(system, boxes, order, rules, views);
-}
-
-void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                          const CompactionRules& rules) {
-  generate_constraints_banded(system, boxes, rules, /*bands=*/1);
-}
-
-void generate_constraints_reference(ConstraintSystem& system,
-                                    const std::vector<CompactionBox>& boxes,
-                                    const CompactionRules& rules) {
-  NetFinder nets(boxes, NetFinder::Strategy::kQuadratic);
-  generate_constraints_impl<LinearProfile>(system, boxes, rules, nets);
-}
-
-void generate_constraints_naive(ConstraintSystem& system,
-                                const std::vector<CompactionBox>& boxes,
-                                const CompactionRules& rules) {
-  add_width_and_anchor(system, boxes, rules);
-  // "Indiscriminately generating the constraint between those two edges ...
-  // can substantially overconstrain the system" (§6.4.1): every same-layer
-  // or interacting pair within spacing distance in y gets a spacing
-  // constraint — abutting same-net fragments included (Figure 6.5).
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    for (std::size_t j = 0; j < boxes.size(); ++j) {
-      if (i == j) continue;
-      const CompactionBox& a = boxes[i];
-      const CompactionBox& b = boxes[j];
-      if (a.geometry.box.lo.x > b.geometry.box.lo.x) continue;  // ordered once
-      if (a.geometry.box.lo.x == b.geometry.box.lo.x && i > j) continue;
-      const Coord s = rules.spacing(a.geometry.layer, b.geometry.layer);
-      if (s <= 0) continue;
-      if (y_gap(a.geometry.box, b.geometry.box) >= s) continue;
-      Constraint c;
-      c.from = a.right_var;
-      c.to = b.left_var;
-      c.weight = s;
-      c.kind = ConstraintKind::kSpacing;
-      system.add_constraint(c);
-    }
-  }
 }
 
 }  // namespace rsg::compact

@@ -5,8 +5,8 @@
 // looking LEFT would see. Constraints connect what the viewer sees to the
 // boxes newly reaching the line; hidden edges never enter the profile, so
 // fragmented layouts (Figure 6.5) are not overconstrained — the property
-// bench_fig65_fragmentation measures against the naive pairwise generator
-// below.
+// bench_fig65_fragmentation measures against the §6.4.1 naive pairwise
+// generator of the test support library (tests/oracles).
 //
 // Emitted constraint kinds:
 //   kWidth    R_i - L_i >= width (original width, or the layer minimum for
@@ -44,9 +44,11 @@ void add_box_variables(ConstraintSystem& system, std::vector<CompactionBox>& box
 // net discovery is a per-layer sort/sweep abutment pass over a min-lo.y
 // augmented segment tree and the visibility profile is an ordered segment
 // map, so generation is O((n + a + k) log n) in the box count n, abutting
-// pair count a, and emitted-constraint count k.
+// pair count a, and emitted-constraint count k. The sweep runs as `bands`
+// y bands per layer (the band-sharded sweeps below); the constraint stream
+// is byte-identical for every band count.
 void generate_constraints(ConstraintSystem& system, const std::vector<CompactionBox>& boxes,
-                          const CompactionRules& rules);
+                          const CompactionRules& rules, int bands = 1);
 
 // --- band-sharded sweeps -------------------------------------------------
 //
@@ -96,7 +98,7 @@ void sweep_layer_band(int layer, Coord y0, Coord y1, const std::vector<Compactio
                       SweepShard& out);
 
 // Runs the listed shard sweeps (layer-major indices: layer * bands + band
-// into `shards`). The banded generator passes every index; the incremental
+// into `shards`). generate_constraints passes every index; the incremental
 // engine passes only the dirty ones.
 void sweep_shards(const std::vector<CompactionBox>& boxes, const std::vector<std::size_t>& order,
                   const CompactionRules& rules, const std::vector<Coord>& cuts,
@@ -112,27 +114,5 @@ void emit_constraints_from_shards(ConstraintSystem& system,
                                   const std::vector<std::size_t>& order,
                                   const CompactionRules& rules,
                                   const std::vector<const SweepShard*>& shards);
-
-// The band-sharded generator: `bands` y bands per layer. Byte-identical to
-// generate_constraints for every band count.
-void generate_constraints_banded(ConstraintSystem& system,
-                                 const std::vector<CompactionBox>& boxes,
-                                 const CompactionRules& rules, int bands);
-
-// The pre-scaling reference: all-pairs net discovery (O(n^2)) and a
-// linear-scan profile (O(n) per query/insert). Shares its private emission
-// helpers with generate_constraints, which is why it lives here; only the
-// equivalence property tests call it, to prove the fast path emits the
-// byte-identical constraint system.
-void generate_constraints_reference(ConstraintSystem& system,
-                                    const std::vector<CompactionBox>& boxes,
-                                    const CompactionRules& rules);
-
-// The naive generator: every same-layer / interacting pair with y overlap
-// gets a spacing constraint, hidden or not — the §6.4.1 mistake that
-// "can substantially overconstrain the system" (Figure 6.4/6.5).
-void generate_constraints_naive(ConstraintSystem& system,
-                                const std::vector<CompactionBox>& boxes,
-                                const CompactionRules& rules);
 
 }  // namespace rsg::compact

@@ -63,12 +63,8 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   }
 
   // The incremental engine keeps per-axis band/warm state alive across the
-  // whole schedule; the scratch path rebuilds each pass (the equivalence
-  // baseline). The naive generator has no band structure.
-  std::optional<IncrementalCompactor> engine;
-  if (schedule.incremental && !options.naive_constraints) {
-    engine.emplace(rules, options, schedule.incremental_options, stretchable);
-  }
+  // whole schedule.
+  IncrementalCompactor engine(rules, options, schedule.incremental_options, stretchable);
 
   // One axis pass under the best-effort policy: an infeasible constraint
   // system (rigid geometry violating its own spacing rules) keeps the
@@ -77,10 +73,7 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
   const auto run_pass = [&](bool y_axis, bool& infeasible,
                             bool& skipped) -> std::optional<FlatResult> {
     try {
-      FlatResult pass =
-          engine ? (y_axis ? engine->compact_y(result.boxes) : engine->compact_x(result.boxes))
-                 : (y_axis ? compact_flat_y(result.boxes, rules, options, stretchable)
-                           : compact_flat(result.boxes, rules, options, stretchable));
+      FlatResult pass = y_axis ? engine.compact_y(result.boxes) : engine.compact_x(result.boxes);
       result.boxes = std::move(pass.boxes);
       return pass;
     } catch (const IncrementalDivergence&) {
@@ -135,16 +128,10 @@ XyScheduleResult compact_flat_schedule(const std::vector<LayerBox>& boxes,
       stats.solve_pops += y_pass->solve.pops;
       stats.warm_y = y_pass->solve.warm_accepted;
     }
-    if (engine) {
-      if (x_pass || stats.x_skipped) {
-        stats.partners_reswept += engine->x_stats().partners_reswept;
-        stats.partners_reused += engine->x_stats().partners_reused;
-      }
-      if (y_pass || stats.y_skipped) {
-        stats.partners_reswept += engine->y_stats().partners_reswept;
-        stats.partners_reused += engine->y_stats().partners_reused;
-      }
-    }
+    // Each pass either ran or was skipped as infeasible; either way the
+    // engine swept (or reused) its shards first.
+    stats.partners_reswept += engine.x_stats().partners_reswept + engine.y_stats().partners_reswept;
+    stats.partners_reused += engine.x_stats().partners_reused + engine.y_stats().partners_reused;
     stats.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     result.round_stats.push_back(std::move(stats));
     result.rounds = round + 1;

@@ -2,14 +2,16 @@
 //
 // The thesis's compactor is one-dimensional: "we will restrict ourselves to
 // one dimensional compaction in the x dimension" (§6.3), with y handled by
-// transposition. A single x pass then y pass (compact_flat_xy) leaves area
-// on the table — pulling boxes down changes which boxes share a band, so a
-// second x pass can reclaim width the first could not see. This driver
-// alternates the two axes until a round leaves the geometry unchanged (the
-// schedule's fixpoint; extents alone can plateau a round before the
-// geometry does) or a hard round cap — the scheduling layer the §6.4
-// experiments left open. The leaf library's alternating schedule,
-// compact_leaf_schedule, lives with the leaf LP in leaf_compactor.hpp.
+// transposition. A single x pass then y pass leaves area on the table —
+// pulling boxes down changes which boxes share a band, so a second x pass
+// can reclaim width the first could not see. This driver alternates the two
+// axes until a round leaves the geometry unchanged (the schedule's
+// fixpoint; extents alone can plateau a round before the geometry does) or
+// a hard round cap — the scheduling layer the §6.4 experiments left open.
+// Every pass runs through one IncrementalCompactor (compact/incremental.hpp),
+// whose passes are byte-identical to one-shot compact_flat passes. The leaf
+// library's alternating schedule, compact_leaf_schedule, lives with the leaf
+// LP in leaf_compactor.hpp.
 #pragma once
 
 #include <functional>
@@ -67,14 +69,7 @@ struct XyScheduleOptions {
   // axes are infeasible cannot make progress and terminates the schedule
   // early with converged = false.
   bool best_effort = false;
-  // Run the rounds through the incremental engine (compact/incremental.hpp):
-  // clean-band constraint slices are spliced instead of re-swept and the
-  // solves warm-start from the previous round's coordinates. Byte-identical
-  // to the scratch schedule; disable to rebuild every pass from scratch
-  // (the equivalence baseline the benchmarks measure against). The naive
-  // generator has no band structure, so naive_constraints always takes the
-  // scratch path.
-  bool incremental = true;
+  // The incremental engine's band count and byte-identity check mode.
   IncrementalOptions incremental_options;
   // Checkpoint/restart. The sink (if set) receives the full schedule state
   // after EVERY completed round; `resume` (if set) restores that state and

@@ -179,44 +179,16 @@ CheckpointWriteStats write_compaction_checkpoint_file(const std::string& path,
 
 compact::XyCheckpoint read_compaction_checkpoint(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  if (size < sizeof(SnapshotHeader)) throw Error("RSGC: file too small for a header");
-  SnapshotHeader header;
-  std::memcpy(&header, bytes, sizeof(header));
-  if (std::memcmp(header.magic, kCheckpointMagic, 4) != 0) throw Error("RSGC: bad magic");
-  if (snapshot_crc32(bytes, 60) != header.header_crc32) {
-    throw Error("RSGC: header CRC mismatch");
-  }
-  if (header.version_major != kCheckpointMajor) {
-    throw Error("RSGC: unsupported major version " + std::to_string(header.version_major) +
-                " (this reader supports " + std::to_string(kCheckpointMajor) + ")");
-  }
-  if (header.file_bytes < sizeof(SnapshotHeader) || header.file_bytes > size) {
-    throw Error("RSGC: truncated file (header declares " + std::to_string(header.file_bytes) +
-                " bytes, buffer holds " + std::to_string(size) + ")");
-  }
-  const std::uint64_t table_offset = header.section_table_offset;
-  const std::uint64_t table_size =
-      std::uint64_t{header.section_count} * sizeof(SnapshotSection);
-  if (table_offset < sizeof(SnapshotHeader) || table_offset + table_size > header.file_bytes) {
-    throw Error("RSGC: section table out of bounds");
-  }
-  std::vector<SnapshotSection> sections(header.section_count);
-  std::memcpy(sections.data(), bytes + table_offset, table_size);
-  if (snapshot_crc32(sections.data(), table_size) != header.section_table_crc32) {
-    throw Error("RSGC: section table CRC mismatch");
-  }
+  const SnapshotContainer container = read_snapshot_container(
+      data, size, kCheckpointMagic, kCheckpointMajor,
+      {kSectionCheckpointMeta, kSectionBoxes, kSectionCheckpointStretch, kSectionCheckpointRounds},
+      "RSGC");
 
   const SnapshotSection* meta = nullptr;
   const SnapshotSection* boxes = nullptr;
   const SnapshotSection* stretch = nullptr;
   const SnapshotSection* rounds = nullptr;
-  for (const SnapshotSection& section : sections) {
-    if (section.offset % 8 != 0 || section.offset + section.size > header.file_bytes) {
-      throw Error("RSGC: section payload out of bounds");
-    }
-    if (snapshot_crc32(bytes + section.offset, section.size) != section.crc32) {
-      throw Error("RSGC: section CRC mismatch");
-    }
+  for (const SnapshotSection& section : container.sections) {
     if (section.type == kSectionCheckpointMeta) meta = &section;
     if (section.type == kSectionBoxes) boxes = &section;
     if (section.type == kSectionCheckpointStretch) stretch = &section;

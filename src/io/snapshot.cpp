@@ -93,6 +93,65 @@ std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t s
 }
 
 // --------------------------------------------------------------------------
+// Container validation (shared with RSGC)
+// --------------------------------------------------------------------------
+
+SnapshotContainer read_snapshot_container(const void* data, std::size_t size,
+                                          const char (&magic)[4], std::uint16_t major,
+                                          const std::vector<std::uint32_t>& known_types,
+                                          const char* tag) {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  const std::string prefix = std::string(tag) + ": ";
+  if (size < sizeof(SnapshotHeader)) throw Error(prefix + "file too small for a header");
+  SnapshotContainer container;
+  SnapshotHeader& header = container.header;
+  std::memcpy(&header, bytes, sizeof(header));
+  if (std::memcmp(header.magic, magic, 4) != 0) throw Error(prefix + "bad magic");
+  if (snapshot_crc32(bytes, 60) != header.header_crc32) {
+    throw Error(prefix + "header CRC mismatch");
+  }
+  if (header.version_major != major) {
+    throw Error(prefix + "unsupported major version " + std::to_string(header.version_major) +
+                " (this reader supports " + std::to_string(major) + ")");
+  }
+  // A newer minor version is additive by contract (§2) and is accepted.
+  if (header.header_bytes < sizeof(SnapshotHeader)) throw Error(prefix + "bad header size");
+  if (header.file_bytes < sizeof(SnapshotHeader) || header.file_bytes > size) {
+    throw Error(prefix + "truncated file (header declares " + std::to_string(header.file_bytes) +
+                " bytes, buffer holds " + std::to_string(size) + ")");
+  }
+  const std::uint64_t file_bytes = header.file_bytes;
+  const std::uint64_t table_offset = header.section_table_offset;
+  const std::uint64_t table_size =
+      std::uint64_t{header.section_count} * sizeof(SnapshotSection);
+  if (table_offset % 8 != 0 || table_offset < sizeof(SnapshotHeader) ||
+      table_offset > file_bytes || table_size > file_bytes - table_offset) {
+    throw Error(prefix + "section table out of bounds");
+  }
+  container.sections.resize(header.section_count);
+  std::memcpy(container.sections.data(), bytes + table_offset, table_size);
+  if (snapshot_crc32(container.sections.data(), table_size) != header.section_table_crc32) {
+    throw Error(prefix + "section table CRC mismatch");
+  }
+
+  std::vector<bool> seen(known_types.size(), false);
+  for (const SnapshotSection& s : container.sections) {
+    if (s.offset % 8 != 0 || s.offset > file_bytes || s.size > file_bytes - s.offset) {
+      throw Error(prefix + "section '" + fourcc_name(s.type) + "' out of bounds");
+    }
+    if (snapshot_crc32(bytes + s.offset, s.size) != s.crc32) {
+      throw Error(prefix + "section '" + fourcc_name(s.type) + "' CRC mismatch");
+    }
+    for (std::size_t k = 0; k < known_types.size(); ++k) {
+      if (known_types[k] != s.type) continue;
+      if (seen[k]) throw Error(prefix + "duplicate section '" + fourcc_name(s.type) + "'");
+      seen[k] = true;
+    }
+  }
+  return container;
+}
+
+// --------------------------------------------------------------------------
 // SnapshotView
 // --------------------------------------------------------------------------
 
@@ -101,46 +160,14 @@ SnapshotView::SnapshotView(const void* data, std::size_t size) {
   if (reinterpret_cast<std::uintptr_t>(bytes) % 8 != 0) {
     throw Error("RSGB: buffer is not 8-byte aligned");
   }
-  if (size < sizeof(SnapshotHeader)) throw Error("RSGB: file too small for a header");
+  const SnapshotContainer container = read_snapshot_container(
+      data, size, kSnapshotMagic, kSnapshotMajor,
+      {kSectionCells, kSectionBoxes, kSectionLabels, kSectionInstances, kSectionStrings}, "RSGB");
   header_ = reinterpret_cast<const SnapshotHeader*>(bytes);
-  if (std::memcmp(header_->magic, kSnapshotMagic, 4) != 0) throw Error("RSGB: bad magic");
-  if (snapshot_crc32(bytes, 60) != header_->header_crc32) {
-    throw Error("RSGB: header CRC mismatch");
-  }
-  if (header_->version_major != kSnapshotMajor) {
-    throw Error("RSGB: unsupported major version " + std::to_string(header_->version_major) +
-                " (this reader supports " + std::to_string(kSnapshotMajor) + ")");
-  }
-  // A newer minor version is additive by contract (§2) and is accepted.
-  if (header_->header_bytes < sizeof(SnapshotHeader)) throw Error("RSGB: bad header size");
-  if (header_->file_bytes < sizeof(SnapshotHeader) || header_->file_bytes > size) {
-    throw Error("RSGB: truncated file (header declares " + std::to_string(header_->file_bytes) +
-                " bytes, buffer holds " + std::to_string(size) + ")");
-  }
-  const std::uint64_t file_bytes = header_->file_bytes;
-  const std::uint64_t table_offset = header_->section_table_offset;
-  const std::uint64_t table_size =
-      std::uint64_t{header_->section_count} * sizeof(SnapshotSection);
-  if (table_offset % 8 != 0 || table_offset > file_bytes ||
-      table_size > file_bytes - table_offset) {
-    throw Error("RSGB: section table out of bounds");
-  }
-  const auto* sections = reinterpret_cast<const SnapshotSection*>(bytes + table_offset);
-  if (snapshot_crc32(sections, table_size) != header_->section_table_crc32) {
-    throw Error("RSGB: section table CRC mismatch");
-  }
 
-  for (std::uint32_t i = 0; i < header_->section_count; ++i) {
-    const SnapshotSection& s = sections[i];
-    if (s.offset % 8 != 0 || s.offset > file_bytes || s.size > file_bytes - s.offset) {
-      throw Error("RSGB: section '" + fourcc_name(s.type) + "' out of bounds");
-    }
+  for (const SnapshotSection& s : container.sections) {
     const void* payload = bytes + s.offset;
-    if (snapshot_crc32(payload, s.size) != s.crc32) {
-      throw Error("RSGB: section '" + fourcc_name(s.type) + "' CRC mismatch");
-    }
     auto take = [&](auto*& field, std::size_t& count, std::size_t stride) {
-      if (field != nullptr) throw Error("RSGB: duplicate section '" + fourcc_name(s.type) + "'");
       if (s.size != std::uint64_t{s.count} * stride) {
         throw Error("RSGB: section '" + fourcc_name(s.type) +
                     "' size does not match its record stride");
@@ -162,7 +189,6 @@ SnapshotView::SnapshotView(const void* data, std::size_t size) {
         take(instances_, instance_count_, sizeof(SnapshotInstanceRecord));
         break;
       case kSectionStrings:
-        if (strings_ != nullptr) throw Error("RSGB: duplicate section 'STRT'");
         if (s.size != s.count || s.size == 0 ||
             static_cast<const char*>(payload)[0] != '\0' ||
             static_cast<const char*>(payload)[s.size - 1] != '\0') {

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "layout/cell_table.hpp"
 
@@ -121,6 +122,24 @@ static_assert(sizeof(SnapshotInstanceRecord) == 32);
 // CRC-32 (IEEE 802.3: reflected, polynomial 0xEDB88320, init/final XOR
 // 0xFFFFFFFF). Chainable: pass the previous return value as `seed`.
 std::uint32_t snapshot_crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
+
+// The container layer RSGB and RSGC share (RSGB.md §3–§4), checked in the
+// documented validation order: size, magic, header CRC, major version,
+// header_bytes, file_bytes within the buffer, section-table bounds and CRC,
+// then every section's alignment, bounds and payload CRC. Every bound is
+// checked as `size > limit - offset`, so no offset can wrap past the
+// buffer. A type in `known_types` may appear at most once; other types are
+// additive minor-version content and pass through. `tag` ("RSGB", "RSGC")
+// prefixes every rsg::Error message.
+struct SnapshotContainer {
+  SnapshotHeader header;                  // copied: the buffer need not be aligned
+  std::vector<SnapshotSection> sections;  // every entry validated
+};
+
+SnapshotContainer read_snapshot_container(const void* data, std::size_t size,
+                                          const char (&magic)[4], std::uint16_t major,
+                                          const std::vector<std::uint32_t>& known_types,
+                                          const char* tag);
 
 // --------------------------------------------------------------------------
 // Zero-copy read view over a complete RSGB image. Non-owning; validates header,

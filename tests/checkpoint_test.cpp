@@ -1,7 +1,8 @@
 // Checkpoint/restart for long compaction runs: the schedule's per-round
 // checkpoint sink, bit-for-bit resume from every round boundary, the RSGC
-// file format's round trip, its corruption/truncation/version defenses,
-// older files' nonzero reserved round slots,
+// file format's round trip, its corruption/truncation/version defenses
+// (wrapping offsets and duplicate sections included), older files' nonzero
+// reserved round slots,
 // and the generator-level --checkpoint-out → --checkpoint-in loop.
 #include "io/checkpoint.hpp"
 
@@ -14,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
+#include "oracles/synth_design.hpp"
 #include "rsg/generator.hpp"
 #include "support/error.hpp"
 
@@ -196,6 +197,84 @@ TEST(Checkpoint, RejectsCorruptionTruncationAndVersionSkew) {
     std::memcpy(&ok[60], &crc, sizeof(crc));
     const XyCheckpoint restored = read_compaction_checkpoint(ok.data(), ok.size());
     expect_checkpoints_equal(last, restored);
+  }
+}
+
+// The header CRC covers bytes [0, 60), the section-table CRC (at byte 40)
+// the table itself: recompute both after patching either, so a test input
+// reaches the bounds checks instead of failing a CRC first.
+void reseal(std::string& image, std::size_t table_entries) {
+  const std::uint32_t table_crc =
+      snapshot_crc32(image.data() + sizeof(SnapshotHeader), table_entries * sizeof(SnapshotSection));
+  std::memcpy(&image[40], &table_crc, sizeof(table_crc));
+  const std::uint32_t header_crc = snapshot_crc32(image.data(), 60);
+  std::memcpy(&image[60], &header_crc, sizeof(header_crc));
+}
+
+std::string expect_rejected(const std::string& image) {
+  try {
+    read_compaction_checkpoint(image.data(), image.size());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "the image was accepted";
+  return {};
+}
+
+TEST(Checkpoint, RejectsWrappingOffsetsAndDuplicateSections) {
+  const SynthField field = make_random_field(7, 20);
+  XyScheduleOptions schedule;
+  schedule.max_rounds = 2;
+  XyCheckpoint last;
+  schedule.checkpoint_sink = [&](const XyCheckpoint& ck) { last = ck; };
+  compact_flat_schedule(field.boxes, CompactionRules::mosis(), {}, schedule,
+                        field.stretchable);
+  const std::string good = checkpoint_bytes(last);
+  std::uint32_t section_count = 0;
+  std::memcpy(&section_count, &good[12], sizeof(section_count));
+  ASSERT_EQ(section_count, 4u);
+
+  // A section table offset of 2^64 - 4096 with 129 entries: offset + size
+  // wraps to 32, inside any file, so an additive bounds check passes and
+  // the table read runs 4 KiB past the buffer.
+  {
+    std::string bad = good;
+    const std::uint64_t table_offset = ~std::uint64_t{0} - 4095;
+    const std::uint32_t count = 129;
+    std::memcpy(&bad[24], &table_offset, sizeof(table_offset));
+    std::memcpy(&bad[12], &count, sizeof(count));
+    reseal(bad, 0);
+    EXPECT_NE(expect_rejected(bad).find("section table out of bounds"), std::string::npos);
+  }
+  // A section whose offset + size wraps past 2^64 the same way.
+  {
+    std::string bad = good;
+    const std::size_t entry = sizeof(SnapshotHeader) + 1 * sizeof(SnapshotSection);
+    const std::uint64_t offset = ~std::uint64_t{0} - 7;  // 8-aligned
+    const std::uint64_t size = 16;
+    std::memcpy(&bad[entry + 8], &offset, sizeof(offset));
+    std::memcpy(&bad[entry + 16], &size, sizeof(size));
+    reseal(bad, section_count);
+    EXPECT_NE(expect_rejected(bad).find("out of bounds"), std::string::npos);
+  }
+  // A known section type twice: the STRM entry replaced by a copy of the
+  // (in-bounds, CRC-valid) BOXS entry.
+  {
+    std::string bad = good;
+    const std::size_t table = sizeof(SnapshotHeader);
+    std::size_t boxes = 0;
+    std::size_t stretch = 0;
+    for (std::size_t i = 0; i < section_count; ++i) {
+      std::uint32_t type = 0;
+      std::memcpy(&type, &bad[table + i * sizeof(SnapshotSection)], sizeof(type));
+      if (type == kSectionBoxes) boxes = i;
+      if (type == kSectionCheckpointStretch) stretch = i;
+    }
+    ASSERT_NE(boxes, stretch);
+    std::memcpy(&bad[table + stretch * sizeof(SnapshotSection)],
+                &good[table + boxes * sizeof(SnapshotSection)], sizeof(SnapshotSection));
+    reseal(bad, section_count);
+    EXPECT_NE(expect_rejected(bad).find("duplicate section 'BOXS'"), std::string::npos);
   }
 }
 

@@ -1,16 +1,18 @@
 // Equivalence property tests for the scaled compaction hot path: the sweep
 // net finder + ordered-segment profile must emit the byte-identical
-// constraint system as the quadratic/linear reference, the condensed solvers
-// must reproduce the pass-based solutions exactly (the least/greatest
-// fixpoints are unique), and the hashed rigid-group matcher must build the
-// same groups as the all-pairs scan — across 500+ seeded random box fields
-// plus the structured grid/PLA shapes the benchmarks sweep.
+// constraint system as the all-pairs net finder + linear profile reference,
+// the condensed solvers must reproduce the pass-based solutions exactly (the
+// least/greatest fixpoints are unique), and the hashed rigid-group matcher
+// must build the same groups as the all-pairs scan — across 500+ seeded
+// random box fields plus the structured grid/PLA shapes the benchmarks
+// sweep. The references live in the test support library (oracles/).
 #include <gtest/gtest.h>
 
 #include "compact/flat_compactor.hpp"
 #include "compact/rigid_groups.hpp"
-#include "compact/synth_design.hpp"
 #include "oracles/pass_based_solver.hpp"
+#include "oracles/reference_constraints.hpp"
+#include "oracles/synth_design.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {
@@ -84,7 +86,7 @@ TEST(CompactScaling, SweepGeneratorMatchesReferenceByteForByte) {
 
     ConstraintSystem ref;
     const std::vector<CompactionBox> ref_boxes = to_compaction_boxes(field, ref);
-    generate_constraints_reference(ref, ref_boxes, CompactionRules::mosis());
+    oracle::generate_constraints_reference(ref, ref_boxes, CompactionRules::mosis());
 
     expect_identical_systems(fast, ref, seed);
     ++seed;
@@ -107,14 +109,14 @@ TEST(CompactScaling, BandShardedGenerationMatchesSerialByteForByte) {
     for (const int bands : {2, 5, 16}) {
       ConstraintSystem banded;
       const std::vector<CompactionBox> banded_boxes = to_compaction_boxes(field, banded);
-      generate_constraints_banded(banded, banded_boxes, CompactionRules::mosis(), bands);
+      generate_constraints(banded, banded_boxes, CompactionRules::mosis(), bands);
       expect_identical_systems(banded, serial, seed);
     }
     ++seed;
   }
 }
 
-TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
+TEST(CompactScaling, CondensedSolversMatchPassBasedExactly) {
   // The seeded property fields plus the 1000-box grid the scaling
   // benchmark sweeps.
   std::vector<SynthField> fields = property_fields();
@@ -126,20 +128,20 @@ TEST(CompactScaling, WorklistSolversMatchPassBasedExactly) {
     generate_constraints(system, boxes, CompactionRules::mosis());
 
     ConstraintSystem pass = system;
-    const SolveStats pass_stats = solve_leftmost(pass, EdgeOrder::kSorted);
-    ConstraintSystem work = system;
-    const SolveStats work_stats = solve_leftmost_condensed(work);
+    const SolveStats pass_stats = oracle::solve_leftmost(pass, oracle::EdgeOrder::kSorted);
+    ConstraintSystem condensed = system;
+    const SolveStats condensed_stats = solve_leftmost_condensed(condensed);
     ASSERT_TRUE(pass_stats.converged);
-    ASSERT_TRUE(work_stats.converged);
-    ASSERT_EQ(pass.values, work.values) << "seed " << seed;
+    ASSERT_TRUE(condensed_stats.converged);
+    ASSERT_EQ(pass.values, condensed.values) << "seed " << seed;
 
     if (!pass.values.empty()) {
       const Coord width = *std::max_element(pass.values.begin(), pass.values.end());
       std::vector<Coord> pass_upper;
       oracle::solve_rightmost_pass_based(pass, width, pass_upper);
-      std::vector<Coord> work_upper;
-      solve_rightmost_condensed(work, width, work_upper);
-      ASSERT_EQ(pass_upper, work_upper) << "seed " << seed;
+      std::vector<Coord> condensed_upper;
+      solve_rightmost_condensed(condensed, width, condensed_upper);
+      ASSERT_EQ(pass_upper, condensed_upper) << "seed " << seed;
     }
     ++seed;
   }
@@ -152,17 +154,17 @@ TEST(CompactScaling, HashedRigidGroupsMatchQuadratic) {
     const std::vector<CompactionBox> boxes = to_compaction_boxes(field, system);
     generate_constraints(system, boxes, CompactionRules::mosis());
 
-    RigidGroups hashed(system, RigidMatch::kHashed);
-    RigidGroups quadratic(system, RigidMatch::kQuadratic);
+    RigidGroups hashed(system);
+    const oracle::RigidPartition quadratic = oracle::rigid_groups_quadratic(system);
     for (std::size_t v = 0; v < system.variable_count(); ++v) {
-      ASSERT_EQ(hashed.leader(v), quadratic.leader(v)) << "seed " << seed << " var " << v;
-      ASSERT_EQ(hashed.offset(v), quadratic.offset(v)) << "seed " << seed << " var " << v;
+      ASSERT_EQ(hashed.leader(v), quadratic.leader[v]) << "seed " << seed << " var " << v;
+      ASSERT_EQ(hashed.offset(v), quadratic.offset[v]) << "seed " << seed << " var " << v;
     }
     ++seed;
   }
 }
 
-TEST(CompactScaling, WorklistDetectsPositiveCycle) {
+TEST(CompactScaling, CondensedSolversDetectPositiveCycle) {
   ConstraintSystem system;
   const int a = system.add_variable("a", 0);
   const int b = system.add_variable("b", 10);

@@ -22,12 +22,12 @@
 
 #include <gtest/gtest.h>
 
-#include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "io/cif_writer.hpp"
 #include "io/snapshot.hpp"
+#include "oracles/synth_design.hpp"
 #include "rsg/pipeline.hpp"
 #include "rsg/serve_core.hpp"
 #include "rsg/serve_socket.hpp"

@@ -1,19 +1,20 @@
 // Equivalence and behavior tests for the incremental x/y compaction engine
-// (compact/incremental.hpp): scratch-vs-incremental byte identity of the
-// constraint stream and the final geometry across 200+ seeded fields, the
-// dirty-band locality contract (a single moved box re-sweeps exactly the
-// bands its shadow window touches), warm-start exactness of the leftmost
-// solver, the full-rebuild escape hatch, and the both-axes-infeasible
-// early termination of the schedule.
+// (compact/incremental.hpp): byte identity with the scratch schedule of the
+// test support library (one-shot passes) in the constraint stream and the
+// final geometry across 200+ seeded fields, the dirty-band locality
+// contract (a single moved box re-sweeps exactly the bands its shadow
+// window touches), warm-start exactness of the leftmost solver, and the
+// both-axes-infeasible early termination of the schedule.
 #include "compact/incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "compact/synth_design.hpp"
 #include "compact/xy_schedule.hpp"
 #include "layout/flatten.hpp"
+#include "oracles/scratch_passes.hpp"
+#include "oracles/synth_design.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
 #include "rsg/generator.hpp"
@@ -35,24 +36,22 @@ std::vector<SynthField> identity_fields() {
 }
 
 TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
-  // The tentpole contract: over a multi-round schedule the incremental
+  // The engine contract: over a multi-round schedule the incremental
   // engine must reproduce the scratch schedule's geometry exactly, and in
   // check mode it proves the CONSTRAINT STREAM of every pass byte-identical
   // to a from-scratch generation (the check throws on any divergence).
   XyScheduleOptions scratch_options;
   scratch_options.max_rounds = 3;
   scratch_options.stop_when_converged = false;
-  scratch_options.incremental = false;
 
   XyScheduleOptions incremental_options = scratch_options;
-  incremental_options.incremental = true;
   incremental_options.incremental_options.bands = 4;
   incremental_options.incremental_options.check_byte_identity = true;
 
   std::uint32_t seed = 0;
   for (const SynthField& field : identity_fields()) {
-    const XyScheduleResult scratch = compact_flat_schedule(
-        field.boxes, CompactionRules::mosis(), {}, scratch_options, field.stretchable);
+    const XyScheduleResult scratch = oracle::compact_flat_schedule_scratch(
+        field.boxes, CompactionRules::mosis(), scratch_options, field.stretchable);
     const XyScheduleResult incremental = compact_flat_schedule(
         field.boxes, CompactionRules::mosis(), {}, incremental_options, field.stretchable);
     ASSERT_EQ(scratch.boxes, incremental.boxes) << "seed " << seed;
@@ -66,7 +65,7 @@ TEST(Incremental, ScratchVsIncrementalByteIdentityOnSeededFields) {
 TEST(Incremental, LateRoundsRepriseCleanBandsAndWarmStarts) {
   // On a field that keeps converging, the late rounds of the incremental
   // schedule must actually reuse: partner entries spliced from clean bands
-  // and warm-started solves with zero worklist pops.
+  // and warm-started solves with zero solver pops.
   const SynthField field = make_grid_field(12, 12);
   XyScheduleOptions options;
   options.max_rounds = 8;
@@ -158,8 +157,8 @@ TEST(Incremental, ByteIdentityCheckStaysSilentAcrossBothAxes) {
                                               field.stretchable);
     ASSERT_EQ(x.boxes, x_scratch.boxes) << "pass " << pass;
     const FlatResult y = engine.compact_y(x.boxes);
-    const FlatResult y_scratch = compact_flat_y(x.boxes, CompactionRules::mosis(), {},
-                                                field.stretchable);
+    const FlatResult y_scratch =
+        oracle::compact_flat_y(x.boxes, CompactionRules::mosis(), field.stretchable);
     ASSERT_EQ(y.boxes, y_scratch.boxes) << "pass " << pass;
     boxes = y.boxes;
   }
@@ -210,7 +209,7 @@ TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
   EXPECT_THROW(engine.compact_y(y_fix), IncrementalDivergence);
 }
 
-TEST(Incremental, WarmStartMatchesColdForBothWorklistSolvers) {
+TEST(Incremental, WarmStartMatchesColdLeftmostSolve) {
   // Whatever the seed — the exact solution, garbage, or an overshoot that
   // fails verification — the warm-started solver must return exactly the
   // cold solution (the least fixpoint is unique).
@@ -289,20 +288,20 @@ TEST(Incremental, BothAxesInfeasibleTerminatesScheduleEarly) {
   options.best_effort = true;
   options.max_rounds = 8;
   options.stop_when_converged = false;
-  for (const bool incremental : {false, true}) {
-    XyScheduleOptions run = options;
-    run.incremental = incremental;
-    const XyScheduleResult result =
-        compact_flat_schedule(both, CompactionRules::mosis(), {}, run);
-    EXPECT_EQ(result.rounds, 1) << "incremental " << incremental;
-    EXPECT_FALSE(result.converged) << "incremental " << incremental;
-    EXPECT_TRUE(result.x_infeasible) << "incremental " << incremental;
-    EXPECT_TRUE(result.y_infeasible) << "incremental " << incremental;
-    ASSERT_EQ(result.round_stats.size(), 1u);
-    EXPECT_TRUE(result.round_stats[0].x_skipped);
-    EXPECT_TRUE(result.round_stats[0].y_skipped);
-    EXPECT_EQ(result.boxes, both);
-  }
+  // One-shot passes agree that neither axis can be compacted.
+  EXPECT_THROW(compact_flat(both, CompactionRules::mosis()), Error);
+  EXPECT_THROW(oracle::compact_flat_y(both, CompactionRules::mosis()), Error);
+
+  const XyScheduleResult result =
+      compact_flat_schedule(both, CompactionRules::mosis(), {}, options);
+  EXPECT_EQ(result.rounds, 1);
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(result.x_infeasible);
+  EXPECT_TRUE(result.y_infeasible);
+  ASSERT_EQ(result.round_stats.size(), 1u);
+  EXPECT_TRUE(result.round_stats[0].x_skipped);
+  EXPECT_TRUE(result.round_stats[0].y_skipped);
+  EXPECT_EQ(result.boxes, both);
 }
 
 }  // namespace

@@ -10,13 +10,13 @@
 #include <sstream>
 #include <tuple>
 
-#include "compact/synth_design.hpp"
 #include "io/cif_reader.hpp"
 #include "io/cif_writer.hpp"
 #include "io/def_writer.hpp"
 #include "io/sample_layout.hpp"
 #include "io/svg_writer.hpp"
 #include "layout/flatten.hpp"
+#include "oracles/synth_design.hpp"
 #include "pla/pla_builder.hpp"
 #include "rsg/generator.hpp"
 #include "support/error.hpp"

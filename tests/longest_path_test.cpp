@@ -163,7 +163,7 @@ TEST(LongestPath, ChainOfComponentsWithPitchedConstraints) {
   system.add_constraint(a_l, d_l, 3, ConstraintKind::kSpacing);  // slack
 
   ConstraintSystem pass = system;
-  solve_leftmost(pass);
+  oracle::solve_leftmost(pass);
   const SolveStats stats = solve_leftmost_condensed(system);
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(system.values, pass.values);
@@ -222,7 +222,7 @@ TEST(LongestPath, RandomCorpusMatchesPassBasedSolvers) {
     bool pass_threw = false;
     bool condensed_threw = false;
     try {
-      solve_leftmost(pass);
+      oracle::solve_leftmost(pass);
     } catch (const Error&) {
       pass_threw = true;
     }

@@ -1,4 +1,4 @@
-#include "compact/synth_design.hpp"
+#include "oracles/synth_design.hpp"
 
 #include <algorithm>
 #include <cmath>

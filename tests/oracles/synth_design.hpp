@@ -1,5 +1,6 @@
 // Synthetic compaction workloads for the scaling benchmarks and the
-// equivalence property tests.
+// equivalence property tests (the test support library: nothing in src/
+// calls them).
 //
 // The thesis's showcase designs (RAM, PLA, multiplier) are regular tilings
 // of small multi-layer cells; these generators reproduce that shape

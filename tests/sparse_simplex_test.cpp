@@ -12,8 +12,8 @@
 
 #include "compact/leaf_compactor.hpp"
 #include "compact/simplex.hpp"
-#include "compact/synth_design.hpp"
 #include "oracles/dense_tableau.hpp"
+#include "oracles/synth_design.hpp"
 #include "support/error.hpp"
 
 namespace rsg::compact {

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "compact/leaf_compactor.hpp"
-#include "compact/synth_design.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/flatten.hpp"
+#include "oracles/synth_design.hpp"
 #include "pla/pla_builder.hpp"
 #include "pla/truth_table.hpp"
 #include "rsg/generator.hpp"
@@ -27,13 +27,13 @@ std::vector<LayerBox> transposed(const std::vector<LayerBox>& boxes) {
 }
 
 TEST(XySchedule, YCompactionIsTransposedXCompaction) {
-  // compact_flat_y(boxes) == transpose(compact_flat(transpose(boxes))) on
+  // The schedule's y pass == transpose(compact_flat(transpose(boxes))) on
   // 100+ seeded fields — the contract that makes the alternating schedule a
   // pure composition of one-dimensional passes (§6.3).
   for (std::uint32_t seed = 0; seed < 110; ++seed) {
     const SynthField field = make_random_field(seed, 4 + static_cast<int>(seed % 30));
-    const FlatResult y_pass =
-        compact_flat_y(field.boxes, CompactionRules::mosis(), {}, field.stretchable);
+    IncrementalCompactor engine(CompactionRules::mosis(), {}, {}, field.stretchable);
+    const FlatResult y_pass = engine.compact_y(field.boxes);
     const FlatResult x_of_transpose =
         compact_flat(transposed(field.boxes), CompactionRules::mosis(), {}, field.stretchable);
     EXPECT_EQ(y_pass.boxes, transposed(x_of_transpose.boxes)) << "seed " << seed;
@@ -212,7 +212,10 @@ TEST(XySchedule, SecondRoundCanBeatSingleXyPass) {
       {Layer::kMetal1, Box(16, 10, 26, 14)},  // B
       {Layer::kMetal1, Box(0, 0, 4, 4)},      // C (blocker under A)
   };
-  const XyResult one = compact_flat_xy(boxes, CompactionRules::mosis());
+  XyScheduleOptions single;
+  single.max_rounds = 1;
+  const XyScheduleResult one =
+      compact_flat_schedule(boxes, CompactionRules::mosis(), {}, single);
   XyScheduleOptions schedule;
   schedule.max_rounds = 8;
   const XyScheduleResult many =
