@@ -4,17 +4,23 @@
 // the system accesses the interface table once for each node hence it is
 // imperative that interface lookup be fast."
 //
-// Measures interface-table lookup against table size, plus the linear-scan
-// alternative a naive implementation would use.
+// Measures interface-table lookup against table size three ways: by cell
+// identity (the `const Interface&` lookup the expander and
+// declare_interface run, one per placed node), by cell name (the string
+// API declarations and tests use), and the linear-scan alternative a naive
+// implementation would use.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
 #include "iface/interface_table.hpp"
+#include "layout/cell_table.hpp"
 
 namespace {
 
+using rsg::Cell;
+using rsg::CellTable;
 using rsg::Interface;
 using rsg::InterfaceTable;
 using rsg::Orientation;
@@ -46,6 +52,27 @@ void BM_HashTableLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HashTableLookup)->Arg(4)->Arg(64)->Arg(1024);
+
+// The expander's path: the same queries asked with the cells themselves.
+// Each (cell, cell, index) triple pays one name-keyed lookup on first use;
+// every later ask hashes two addresses and returns a reference.
+void BM_CellIdentityLookup(benchmark::State& state) {
+  const int cells = static_cast<int>(state.range(0));
+  const InterfaceTable table = build_table(cells);
+  CellTable library;
+  std::vector<const Cell*> by_index;
+  for (int a = 0; a < cells; ++a) by_index.push_back(&library.create("cell" + std::to_string(a)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto a = static_cast<std::size_t>(i % static_cast<std::size_t>(cells));
+    const Cell& ca = *by_index[a];
+    const Cell& cb = *by_index[(a + 1) % by_index.size()];
+    benchmark::DoNotOptimize(&table.get(ca, cb, static_cast<int>(i % 4) + 1));
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CellIdentityLookup)->Arg(4)->Arg(64)->Arg(1024);
 
 // The strawman: a flat list searched linearly (what a description-file-like
 // sequential structure would cost).

@@ -107,14 +107,6 @@ IncrementalCompactor::IncrementalCompactor(const CompactionRules& rules,
       incremental_(incremental),
       stretchable_(std::move(stretchable)) {}
 
-void IncrementalCompactor::corrupt_cached_system_for_testing(bool y_axis) {
-  AxisState& state = y_axis ? y_ : x_;
-  if (!state.system_valid) {
-    throw Error("incremental compaction: no cached system to corrupt (run a pass first)");
-  }
-  state.system.add_constraint(0, 0, 1, ConstraintKind::kSpacing);
-}
-
 FlatResult IncrementalCompactor::compact_x(const std::vector<LayerBox>& boxes) {
   return pass(x_, boxes);
 }

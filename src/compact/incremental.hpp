@@ -91,15 +91,12 @@ class IncrementalCompactor {
   const std::vector<Coord>& x_band_cuts() const { return x_.cuts; }
   const std::vector<Coord>& y_band_cuts() const { return y_.cuts; }
 
-  // TEST-ONLY fault injection: appends a bogus constraint to the axis's
-  // cached system, simulating the state corruption check_byte_identity
-  // exists to catch — the next pass on unchanged geometry reuses the cache
-  // and the divergence check must throw. Production code never calls this
-  // (the check is otherwise unfalsifiable: the engine is byte-identical by
-  // construction, so its error path needs an injected fault to execute).
-  void corrupt_cached_system_for_testing(bool y_axis);
 
  private:
+  // The fault-injection peer of the test support library (tests/oracles)
+  // reaches the cached systems to prove the byte-identity check can fire.
+  friend struct IncrementalFaults;
+
   struct AxisState {
     bool initialized = false;
     std::vector<Coord> cuts;

@@ -1,7 +1,6 @@
 #include "graph/expand.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/error.hpp"
 
@@ -18,13 +17,12 @@ Placement derive_placement(const GraphNode& from, const GraphNode::Edge& edge,
   const GraphNode& to = *edge.other;
   if (edge.outgoing) {
     // Edge from -> to: `from` is the reference instance of I.
-    const Interface iface =
-        interfaces.get(from.cell->name(), to.cell->name(), edge.interface_index);
-    return iface.place_other(*from.placement);
+    return interfaces.get(*from.cell, *to.cell, edge.interface_index)
+        .place_other(*from.placement);
   }
   // Edge to -> from: `to` is the reference instance; invert the derivation.
-  const Interface iface = interfaces.get(to.cell->name(), from.cell->name(), edge.interface_index);
-  return iface.place_reference(*from.placement);
+  return interfaces.get(*to.cell, *from.cell, edge.interface_index)
+      .place_reference(*from.placement);
 }
 
 }  // namespace
@@ -45,14 +43,13 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
   // the representative with the root at ((0,0), North).
   root->placement = kIdentityPlacement;
 
+  // Breadth-first: `component` doubles as the queue, nodes [head, end)
+  // being the frontier.
   std::vector<GraphNode*> component{root};
-  std::queue<GraphNode*> frontier;
-  frontier.push(root);
   std::size_t redundant = 0;
 
-  while (!frontier.empty()) {
-    GraphNode* node = frontier.front();
-    frontier.pop();
+  for (std::size_t head = 0; head < component.size(); ++head) {
+    GraphNode* node = component[head];
     for (const GraphNode::Edge& edge : node->edges) {
       GraphNode* other = edge.other;
       if (other->expanded()) {
@@ -63,7 +60,6 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
       if (!other->placement) {
         other->placement = derived;
         component.push_back(other);
-        frontier.push(other);
       } else if (*other->placement != derived) {
         // A redundant (cycle) edge that contradicts the spanning-tree-derived
         // placement: the sample layout and design file disagree.
@@ -78,6 +74,7 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
   }
 
   Cell& cell = cells.create(cell_name);
+  cell.reserve_instances(component.size());
   // Deterministic order: node creation order, not traversal order.
   std::sort(component.begin(), component.end(),
             [](const GraphNode* a, const GraphNode* b) { return a->id < b->id; });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "layout/cell.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -41,14 +42,28 @@ std::optional<Interface> InterfaceTable::find(const std::string& cell_a,
   return *found;
 }
 
-Interface InterfaceTable::get(const std::string& cell_a, const std::string& cell_b,
-                              int index) const {
-  std::optional<Interface> iface = find(cell_a, cell_b, index);
-  if (!iface) {
-    throw LayoutError("no interface #" + std::to_string(index) + " between '" + cell_a +
-                      "' and '" + cell_b + "' — is it present in the sample layout?");
-  }
-  return *iface;
+void InterfaceTable::missing(const std::string& cell_a, const std::string& cell_b, int index) {
+  throw LayoutError("no interface #" + std::to_string(index) + " between '" + cell_a + "' and '" +
+                    cell_b + "' — is it present in the sample layout?");
+}
+
+const Interface& InterfaceTable::get(const std::string& cell_a, const std::string& cell_b,
+                                     int index) const {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
+  const Interface* found = lookup_nocount(Key{cell_a, cell_b, index});
+  if (found == nullptr) missing(cell_a, cell_b, index);
+  return *found;
+}
+
+const Interface& InterfaceTable::get(const Cell& a, const Cell& b, int index) const {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
+  const CellKey key{&a, &b, index};
+  auto it = by_cell_.find(key);
+  if (it != by_cell_.end()) return *it->second;
+  const Interface* found = lookup_nocount(Key{a.name(), b.name(), index});
+  if (found == nullptr) missing(a.name(), b.name(), index);
+  by_cell_.emplace(key, found);
+  return *found;
 }
 
 std::vector<int> InterfaceTable::indices(const std::string& cell_a,

@@ -12,7 +12,12 @@
 //
 // Hash-table backed: the expander does one table access per graph node, so
 // "it is imperative that interface lookup be fast" (§4.5) — see
-// bench_interface_table.
+// bench_interface_table. The expander and declare_interface ask by cell
+// identity: get(const Cell&, const Cell&, index) remembers each hit under
+// the two cells' addresses and returns a reference into the table, so a
+// repeated triple hashes two pointers instead of two names and copies
+// nothing. The name-keyed API serves declarations, indices() and callers
+// that only hold names.
 //
 // Like CellTable, a table may be an OVERLAY on an immutable base (the
 // compile-once/run-many split): lookups check the overlay then fall through
@@ -20,10 +25,14 @@
 // through an uncounted path that never writes the base — even its lookup
 // counter — so concurrent overlays can share one base without a data race.
 // The per-table counter is atomic anyway, because read-only compaction
-// paths take `const InterfaceTable&` and may run on several threads.
+// paths take `const InterfaceTable&` and may run on several threads. The
+// identity cache is not: like declare(), identity lookups belong to the one
+// thread that owns the table (a session's overlay), and a base is never
+// asked by identity through its overlays.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -33,6 +42,8 @@
 
 namespace rsg {
 
+class Cell;
+
 class InterfaceTable {
  public:
   InterfaceTable() = default;
@@ -40,6 +51,8 @@ class InterfaceTable {
   // and must not change while overlays exist.
   explicit InterfaceTable(const InterfaceTable* base) : base_(base) {}
 
+  // Copies and moves start with an empty identity cache: its entries point
+  // into the source's storage.
   InterfaceTable(const InterfaceTable& other)
       : base_(other.base_),
         table_(other.table_),
@@ -48,6 +61,7 @@ class InterfaceTable {
     if (this != &other) {
       base_ = other.base_;
       table_ = other.table_;
+      by_cell_.clear();
       lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     }
     return *this;
@@ -60,6 +74,7 @@ class InterfaceTable {
     if (this != &other) {
       base_ = other.base_;
       table_ = std::move(other.table_);
+      by_cell_.clear();
       lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     }
     return *this;
@@ -77,7 +92,14 @@ class InterfaceTable {
                                 int index) const;
 
   // Throws LayoutError with a diagnostic naming the missing triple.
-  Interface get(const std::string& cell_a, const std::string& cell_b, int index) const;
+  const Interface& get(const std::string& cell_a, const std::string& cell_b, int index) const;
+
+  // The same lookup keyed by cell identity (the expander's path): `a` and
+  // `b` are named by their cells, and each hit is remembered under the
+  // cells' addresses — so the cells must outlive this table's use of them,
+  // as cell tables guarantee by never removing a cell. Counts one lookup
+  // per call, cached or not.
+  const Interface& get(const Cell& a, const Cell& b, int index) const;
 
   bool contains(const std::string& cell_a, const std::string& cell_b, int index) const {
     return find(cell_a, cell_b, index).has_value();
@@ -115,12 +137,34 @@ class InterfaceTable {
     }
   };
 
+  struct CellKey {
+    const Cell* a;
+    const Cell* b;
+    int index;
+    bool operator==(const CellKey&) const = default;
+  };
+  struct CellKeyHash {
+    std::size_t operator()(const CellKey& k) const {
+      const auto pa = reinterpret_cast<std::uintptr_t>(k.a);
+      const auto pb = reinterpret_cast<std::uintptr_t>(k.b);
+      std::uint64_t h = (pa ^ (pb * 0x9E3779B97F4A7C15ull)) + static_cast<std::uint64_t>(k.index);
+      h ^= h >> 31;
+      h *= 0xBF58476D1CE4E5B9ull;
+      return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+  };
+
   // Overlay-then-base resolution with no counter update anywhere — the
   // path through which a shared base is always queried.
   const Interface* lookup_nocount(const Key& key) const;
+  [[noreturn]] static void missing(const std::string& cell_a, const std::string& cell_b,
+                                   int index);
 
   const InterfaceTable* base_ = nullptr;
   std::unordered_map<Key, Interface, KeyHash> table_;
+  // Identity lookups seen so far, pointing into table_ or a base's (map
+  // nodes never move, and entries are never erased or changed).
+  mutable std::unordered_map<CellKey, const Interface*, CellKeyHash> by_cell_;
   mutable std::atomic<std::size_t> lookups_{0};
 };
 

@@ -8,43 +8,51 @@
 
 namespace rsg::lang {
 
-void Interpreter::register_handlers() {
-  handlers_ = {
-      {"defun", &Interpreter::sf_defun},
-      {"macro", &Interpreter::sf_macro},
-      {"cond", &Interpreter::sf_cond},
-      {"do", &Interpreter::sf_do},
-      {"prog", &Interpreter::sf_prog},
-      {"assign", &Interpreter::sf_assign},
-      {"setq", &Interpreter::sf_assign},
-      {"print", &Interpreter::sf_print},
-      {"read", &Interpreter::sf_read},
-      {"+", &Interpreter::b_add},
-      {"-", &Interpreter::b_sub},
-      {"*", &Interpreter::b_mul},
-      {"//", &Interpreter::b_div},
-      {"mod", &Interpreter::b_mod},
-      {"=", &Interpreter::b_eq},
-      {"/=", &Interpreter::b_ne},
-      {">", &Interpreter::b_gt},
-      {"<", &Interpreter::b_lt},
-      {">=", &Interpreter::b_ge},
-      {"<=", &Interpreter::b_le},
-      {"and", &Interpreter::b_and},
-      {"or", &Interpreter::b_or},
-      {"not", &Interpreter::b_not},
-      {"mk_instance", &Interpreter::b_mk_instance},
-      {"connect", &Interpreter::b_connect},
-      {"mk_cell", &Interpreter::b_mk_cell},
-      {"subcell", &Interpreter::b_subcell},
-      {"declare_interface", &Interpreter::b_declare_interface},
-      {"array", &Interpreter::b_array},
-      {"tt_inputs", &Interpreter::b_tt_inputs},
-      {"tt_outputs", &Interpreter::b_tt_outputs},
-      {"tt_terms", &Interpreter::b_tt_terms},
-      {"tt_in", &Interpreter::b_tt_in},
-      {"tt_out", &Interpreter::b_tt_out},
-  };
+// The dispatch table program compilation resolves list heads into
+// (Expr::builtin indexes it); entry 0 stands for "no built-in".
+const Interpreter::BuiltinEntry Interpreter::kBuiltins[] = {
+    {"", nullptr},
+    {"defun", &Interpreter::sf_defun},
+    {"macro", &Interpreter::sf_macro},
+    {"cond", &Interpreter::sf_cond},
+    {"do", &Interpreter::sf_do},
+    {"prog", &Interpreter::sf_prog},
+    {"assign", &Interpreter::sf_assign},
+    {"setq", &Interpreter::sf_assign},
+    {"print", &Interpreter::sf_print},
+    {"read", &Interpreter::sf_read},
+    {"+", &Interpreter::b_add},
+    {"-", &Interpreter::b_sub},
+    {"*", &Interpreter::b_mul},
+    {"//", &Interpreter::b_div},
+    {"mod", &Interpreter::b_mod},
+    {"=", &Interpreter::b_eq},
+    {"/=", &Interpreter::b_ne},
+    {">", &Interpreter::b_gt},
+    {"<", &Interpreter::b_lt},
+    {">=", &Interpreter::b_ge},
+    {"<=", &Interpreter::b_le},
+    {"and", &Interpreter::b_and},
+    {"or", &Interpreter::b_or},
+    {"not", &Interpreter::b_not},
+    {"mk_instance", &Interpreter::b_mk_instance},
+    {"connect", &Interpreter::b_connect},
+    {"mk_cell", &Interpreter::b_mk_cell},
+    {"subcell", &Interpreter::b_subcell},
+    {"declare_interface", &Interpreter::b_declare_interface},
+    {"array", &Interpreter::b_array},
+    {"tt_inputs", &Interpreter::b_tt_inputs},
+    {"tt_outputs", &Interpreter::b_tt_outputs},
+    {"tt_terms", &Interpreter::b_tt_terms},
+    {"tt_in", &Interpreter::b_tt_in},
+    {"tt_out", &Interpreter::b_tt_out},
+};
+
+std::uint8_t Interpreter::find_builtin(std::string_view name) {
+  for (std::size_t i = 1; i < std::size(kBuiltins); ++i) {
+    if (kBuiltins[i].name == name) return static_cast<std::uint8_t>(i);
+  }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -153,10 +161,11 @@ Value Interpreter::b_mk_instance(const Expr& expr, const EnvPtr& frame) {
   // (mk_instance VAR CELL): creates a partial-instance node of CELL and
   // binds it to VAR (Figure 4.5's calling convention in the design files).
   check_arity(expr, 2, "mk_instance");
-  const std::string name = binding_name(expr.elements[1], frame);
+  const Expr& target = expr.elements[1];
+  const BindingKey key = binding_key(target, frame);
   const Cell* cell = coerce_cell(eval(expr.elements[2], frame), expr.elements[2]);
   GraphNode* node = graph_.make_instance(cell);
-  assign(name, Value::node(node), frame);
+  assign(key, target.slot, Value::node(node), frame);
   return Value::node(node);
 }
 
@@ -184,8 +193,8 @@ Value Interpreter::b_mk_cell(const Expr& expr, const EnvPtr& frame) {
 
 Value Interpreter::b_subcell(const Expr& expr, const EnvPtr& frame) {
   // (subcell ENV VAR): the value bound to VAR in the environment returned by
-  // a macro. VAR's indices evaluate in the CALLER's frame; the mangled name
-  // is then looked up in ENV only (§4.2).
+  // a macro. VAR's indices evaluate in the CALLER's frame; the binding is
+  // then looked up in ENV only (§4.2).
   check_arity(expr, 2, "subcell");
   const Value env_value = eval(expr.elements[1], frame);
   if (!env_value.is_environment()) {
@@ -193,10 +202,11 @@ Value Interpreter::b_subcell(const Expr& expr, const EnvPtr& frame) {
          std::string("subcell: first argument must be a macro environment, got ") +
              env_value.type_name());
   }
-  const std::string name = binding_name(expr.elements[2], frame);
-  const Value* found = env_value.as_environment()->find(name);
+  const BindingKey key = binding_key(expr.elements[2], frame);
+  const Value* found = env_value.as_environment()->find(key);
   if (found == nullptr) {
-    fail(expr.elements[2], "subcell: no variable '" + name + "' in the given environment");
+    fail(expr.elements[2], "subcell: no variable '" + key_text(key, names_->symbols) +
+                               "' in the given environment");
   }
   return *found;
 }
@@ -224,8 +234,8 @@ Value Interpreter::b_declare_interface(const Expr& expr, const EnvPtr& frame) {
                                cell_d->name() + "'");
   }
 
-  const Interface i_ab = interfaces_.get(node_a->cell->name(), node_b->cell->name(),
-                                         static_cast<int>(existing_index));
+  const Interface& i_ab =
+      interfaces_.get(*node_a->cell, *node_b->cell, static_cast<int>(existing_index));
   const Interface i_cd = inherit_interface(*node_a->placement, *node_b->placement, i_ab);
   interfaces_.declare(cell_c->name(), cell_d->name(), static_cast<int>(new_index), i_cd);
   return Value::nil();
@@ -242,15 +252,16 @@ Value Interpreter::b_array(const Expr& expr, const EnvPtr& frame) {
   const std::int64_t index = eval_int(expr.elements[3], frame);
   if (count < 1) fail(expr.elements[2], "array: count must be >= 1");
 
-  auto env = std::make_shared<Environment>(static_cast<std::size_t>(count) + 1);
+  auto env = std::make_shared<Environment>(symbols_ref(), nullptr);
+  env->reserve(static_cast<std::size_t>(count) + 1);
   GraphNode* previous = nullptr;
   for (std::int64_t i = 1; i <= count; ++i) {
     GraphNode* node = graph_.make_instance(cell);
-    env->set(mangle_indexed_name("c", {i}), Value::node(node));
+    env->set(BindingKey{c_symbol_, 1, {i, 0}}, Value::node(node));
     if (previous != nullptr) graph_.connect(previous, node, static_cast<int>(index));
     previous = node;
   }
-  env->set("count", Value::integer(count));
+  env->set(BindingKey::simple(count_symbol_), Value::integer(count));
   ++stats_.frames_created;
   return Value::environment(std::move(env));
 }

@@ -9,43 +9,112 @@
 // Environments are heap-shared (EnvPtr) because macros return their frame
 // and callers may retain it indefinitely (§4.2/§4.5); C++ shared_ptr plays
 // the role of the CLU garbage collector here.
+//
+// Bindings are keyed by BindingKey (symbols.hpp), never by text. A frame
+// keeps simple names in flat slots: a procedure frame has the slots its
+// definition's compiled layout names (ast.hpp's ProcedureScope), the global
+// frame has one slot per symbol id. Indexed names, and simple names the
+// layout does not foresee, live in a small open-addressing table beside the
+// slots.
 #pragma once
 
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "lang/ast.hpp"
+#include "lang/symbols.hpp"
 #include "lang/value.hpp"
 
 namespace rsg::lang {
 
-class Environment {
- public:
-  Environment() = default;
-
-  // Reserves capacity up-front. The thesis's interpreter sizes each frame's
-  // hash table from the procedure's formal+local count to avoid waste.
-  explicit Environment(std::size_t expected_bindings) { bindings_.reserve(expected_bindings); }
-
-  bool contains(const std::string& name) const { return bindings_.contains(name); }
-
-  // nullptr when unbound.
-  const Value* find(const std::string& name) const {
-    auto it = bindings_.find(name);
-    return it == bindings_.end() ? nullptr : &it->second;
-  }
-
-  void set(const std::string& name, Value value) { bindings_[name] = std::move(value); }
-
-  std::size_t size() const { return bindings_.size(); }
-
-  const std::unordered_map<std::string, Value>& bindings() const { return bindings_; }
-
- private:
-  std::unordered_map<std::string, Value> bindings_;
+// A slot: a simple name's binding, or unbound. A symbol value remembers the
+// key its name resolves to once the interpreter has followed it.
+struct Slot {
+  Value value;
+  BindingKey target;  // valid when target.symbol != kNoSymbol
+  bool bound = false;
 };
 
-// Mangles an indexed variable into its flat binding name: ("l", {3}) -> "l.3"
-// and ("cl", {3, 7}) -> "cl.3.7".
-std::string mangle_indexed_name(const std::string& base, const std::vector<std::int64_t>& indices);
+class Environment {
+ public:
+  // The global frame: one slot per symbol id of `symbols`.
+  static EnvPtr global(std::shared_ptr<const SymbolTable> symbols);
+  // A frame laid out by `scope` (may be nullptr: no slots at all). The
+  // scope must outlive the frame; `symbols` keeps the names readable for
+  // find(std::string).
+  Environment(std::shared_ptr<const SymbolTable> symbols, const ProcedureScope* scope);
+  ~Environment();
+
+  // nullptr when unbound. `slot` is the compile-time slot hint of a simple
+  // name (Expr::slot), checked against this frame's layout before use.
+  const Value* find(const BindingKey& key, std::int32_t slot = -1) const {
+    return const_cast<Environment*>(this)->find_binding(key, slot).value;
+  }
+  // The binding `name` names (symbols.hpp's text boundary: "l.3" is the
+  // indexed variable l.3).
+  const Value* find(const std::string& name) const;
+  bool contains(const BindingKey& key, std::int32_t slot = -1) const {
+    return find(key, slot) != nullptr;
+  }
+
+  void set(const BindingKey& key, Value value, std::int32_t slot = -1);
+  // Binds slot `slot` of this frame's layout directly (formals and locals).
+  void set_slot(std::uint32_t slot, Value value) {
+    Slot& s = slots_[slot];
+    s.value = std::move(value);
+    s.target = {};
+    s.bound = true;
+  }
+
+  // Number of bound names.
+  std::size_t size() const;
+
+  // Visits every binding as (key, value).
+  template <class Visit>
+  void for_each(Visit&& visit) const {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].bound) visit(BindingKey::simple(slot_name(i)), slots_[i].value);
+    }
+    for (const Entry& e : entries_) visit(e.key, e.value);
+  }
+
+  // Presizes the table of non-slot bindings.
+  void reserve(std::size_t bindings);
+
+  // The lookup the interpreter's resolution uses: the value, plus the slot
+  // holding it when it lives in one (to cache a symbol's target there).
+  struct Found {
+    const Value* value = nullptr;
+    Slot* slot = nullptr;
+  };
+  Found find_binding(const BindingKey& key, std::int32_t slot = -1);
+
+ private:
+  struct Entry {
+    BindingKey key;
+    Value value;
+  };
+
+  Environment() = default;
+
+  // Slot index of a simple name, or -1.
+  std::int32_t slot_index(SymbolId symbol, std::int32_t hint) const;
+  SymbolId slot_name(std::size_t slot) const {
+    return dense_ ? static_cast<SymbolId>(slot) : scope_->slots[slot];
+  }
+  Entry* find_entry(const BindingKey& key);
+  void grow();
+
+  std::shared_ptr<const SymbolTable> symbols_;
+  const ProcedureScope* scope_ = nullptr;
+  bool dense_ = false;  // global frame: slot index == symbol id
+  std::vector<Slot> slots_;
+  // Non-slot bindings in insertion order, indexed by an open-addressing
+  // table of entry positions (kEmpty = free); its size is a power of two.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+};
 
 }  // namespace rsg::lang

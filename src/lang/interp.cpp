@@ -13,13 +13,23 @@ Interpreter::Interpreter(CellTable& cells, InterfaceTable& interfaces, Connectiv
     : cells_(cells),
       interfaces_(interfaces),
       graph_(graph),
-      global_(std::make_shared<Environment>()),
+      names_(std::make_shared<Names>()),
+      global_(Environment::global(symbols_ref())),
       output_(output),
       input_(input) {
-  global_->set("true", Value::boolean(true));
-  global_->set("false", Value::boolean(false));
-  global_->set("nil", Value::nil());
-  register_handlers();
+  set_global("true", Value::boolean(true));
+  set_global("false", Value::boolean(false));
+  set_global("nil", Value::nil());
+  intern_array_names();
+}
+
+void Interpreter::intern_array_names() {
+  c_symbol_ = names_->symbols.intern("c");
+  count_symbol_ = names_->symbols.intern("count");
+}
+
+void Interpreter::set_global(const std::string& name, Value value) {
+  global_->set(intern_key(name, names_->symbols), std::move(value));
 }
 
 void Interpreter::fail(const Expr& site, const std::string& message) const {
@@ -33,9 +43,45 @@ void Interpreter::check_arity(const Expr& expr, std::size_t args, const char* na
   }
 }
 
+Program Interpreter::adopt(const Program& program) {
+  Names& names = *names_;
+  const SymbolTable* table = program.symbols();
+  const auto kept = [&](const Program& p) {
+    for (const Program& other : names.programs) {
+      if (other.begin() == p.begin()) return p;
+    }
+    names.programs.push_back(p);
+    return p;
+  };
+  if (table == nullptr || table == &names.symbols || table == names.symbols.base()) {
+    return table == nullptr ? program : kept(program);
+  }
+  if (!ran_ && names.symbols.base() == nullptr) {
+    // Nothing has been evaluated yet, so only the global frame holds
+    // bindings (the constants and parameter-file names): carry them over by
+    // name onto an overlay of the program's table.
+    std::vector<std::pair<std::string, Value>> carried;
+    global_->for_each([&](const BindingKey& key, const Value& value) {
+      carried.emplace_back(key_text(key, names.symbols), value);
+    });
+    names.symbols.rebase(table);
+    global_ = Environment::global(symbols_ref());
+    for (auto& [name, value] : carried) set_global(name, std::move(value));
+    intern_array_names();
+    return kept(program);
+  }
+  // Compiled against another table: recompile a copy against ours. The
+  // copy's table pointer does not own the interpreter's names (they own it).
+  std::vector<Expr> forms(program.begin(), program.end());
+  return kept(compile_program(
+      std::move(forms), std::shared_ptr<SymbolTable>(std::shared_ptr<void>(), &names.symbols)));
+}
+
 Value Interpreter::run(const Program& program) {
+  const Program compiled = adopt(program);
+  ran_ = true;
   Value last;
-  for (const Expr& form : program) last = eval(form, global_);
+  for (const Expr& form : compiled) last = eval(form, global_);
   return last;
 }
 
@@ -46,59 +92,83 @@ Value Interpreter::eval(const Expr& expr, const EnvPtr& frame) {
     case Expr::Kind::kString:
       return Value::string(expr.text);
     case Expr::Kind::kVar:
-      return eval_var(expr, frame);
+      return resolve(binding_key(expr, frame), expr.slot, frame, expr);
     case Expr::Kind::kList:
       return eval_list(expr, frame);
   }
   fail(expr, "unreachable expression kind");
 }
 
-Value Interpreter::eval_var(const Expr& expr, const EnvPtr& frame) {
-  return resolve_name(binding_name(expr, frame), frame, expr);
-}
-
-std::string Interpreter::binding_name(const Expr& var, const EnvPtr& frame) {
+BindingKey Interpreter::binding_key(const Expr& var, const EnvPtr& frame) {
   if (var.kind != Expr::Kind::kVar) fail(var, "expected a variable");
-  if (var.indices.empty()) return var.text;
-  std::vector<std::int64_t> indices;
-  indices.reserve(var.indices.size());
+  BindingKey key = BindingKey::simple(var.symbol);
   for (const Expr& index : var.indices) {
     const Value v = eval(index, frame);
     if (!v.is_integer()) {
       fail(index, "index of '" + var.text + "' must evaluate to an integer, got " +
                       v.type_name());
     }
-    indices.push_back(v.as_integer());
+    key.index[key.arity++] = v.as_integer();
   }
-  return mangle_indexed_name(var.text, indices);
+  return key;
 }
 
-Value Interpreter::resolve_name(std::string name, const EnvPtr& frame, const Expr& site) {
+Value Interpreter::resolve(BindingKey key, std::int32_t slot, const EnvPtr& frame,
+                           const Expr& site) {
   // §4.1 lookup chain with symbol indirection (Figure 4.1). A bounded hop
   // count catches accidental cycles like a=b, b=a in the parameter file.
   for (int hop = 0; hop < 32; ++hop) {
     ++stats_.variable_lookups;
-    const Value* found = frame->find(name);
-    if (found == nullptr && frame != global_) found = global_->find(name);
-    if (found != nullptr) {
-      if (found->is_symbol()) {
-        name = found->as_symbol().name;
+    Environment::Found found = frame->find_binding(key, slot);
+    if (found.value == nullptr && frame != global_) found = global_->find_binding(key);
+    if (found.value != nullptr) {
+      if (found.value->is_symbol()) {
+        key = symbol_target(*found.value, found.slot);
+        slot = -1;
         continue;
       }
-      return *found;
+      return *found.value;
     }
-    const Cell* cell = std::as_const(cells_).find(name);
+    const Cell* cell = find_cell(key);
     if (cell != nullptr) return Value::cell(cell);
-    fail(site, "unbound variable '" + name + "' (not a parameter, local, or cell name)");
+    fail(site, "unbound variable '" + key_text(key, names_->symbols) +
+                   "' (not a parameter, local, or cell name)");
   }
-  fail(site, "symbol indirection cycle while resolving '" + name + "'");
+  fail(site, "symbol indirection cycle while resolving '" + key_text(key, names_->symbols) + "'");
 }
 
-void Interpreter::assign(const std::string& name, Value value, const EnvPtr& frame) {
-  if (frame->contains(name) || frame == global_ || !global_->contains(name)) {
-    frame->set(name, std::move(value));
+BindingKey Interpreter::symbol_target(const Value& symbol, Slot* slot) {
+  if (slot != nullptr && slot->target.symbol != kNoSymbol) return slot->target;
+  const BindingKey key = intern_key(symbol.as_symbol().name, names_->symbols);
+  if (slot != nullptr) slot->target = key;
+  return key;
+}
+
+const Cell* Interpreter::find_cell(const BindingKey& key) {
+  if (key.is_simple()) {
+    if (key.symbol < simple_cells_.size() && simple_cells_[key.symbol] != nullptr) {
+      return simple_cells_[key.symbol];
+    }
+    const Cell* cell = std::as_const(cells_).find(names_->symbols.name(key.symbol));
+    if (cell != nullptr) {
+      if (key.symbol >= simple_cells_.size()) simple_cells_.resize(names_->symbols.size());
+      simple_cells_[key.symbol] = cell;
+    }
+    return cell;
+  }
+  auto it = indexed_cells_.find(key);
+  if (it != indexed_cells_.end()) return it->second;
+  const Cell* cell = std::as_const(cells_).find(key_text(key, names_->symbols));
+  if (cell != nullptr) indexed_cells_.emplace(key, cell);
+  return cell;
+}
+
+void Interpreter::assign(const BindingKey& key, std::int32_t slot, Value value,
+                         const EnvPtr& frame) {
+  if (frame == global_ || frame->contains(key, slot) || !global_->contains(key)) {
+    frame->set(key, std::move(value), slot);
   } else {
-    global_->set(name, std::move(value));
+    global_->set(key, std::move(value));
   }
 }
 
@@ -141,12 +211,13 @@ Value Interpreter::eval_list(const Expr& expr, const EnvPtr& frame) {
   const Expr& head = expr.elements.front();
   if (!head.is_simple_var()) fail(head, "operator position must be a plain name");
 
-  auto handler = handlers_.find(head.text);
   try {
-    if (handler != handlers_.end()) return (this->*handler->second)(expr, frame);
-
-    auto def = definitions_.find(head.text);
-    if (def != definitions_.end()) return call_definition(def->second, expr, frame);
+    if (expr.builtin != 0) return (this->*kBuiltins[expr.builtin].handler)(expr, frame);
+    if (head.symbol < definitions_.size() && definitions_[head.symbol].form != nullptr) {
+      // By value: the body may define procedures and grow definitions_.
+      const Definition def = definitions_[head.symbol];
+      return call_definition(def, expr, frame);
+    }
   } catch (const LangError&) {
     throw;
   } catch (const Error& e) {
@@ -157,19 +228,22 @@ Value Interpreter::eval_list(const Expr& expr, const EnvPtr& frame) {
 }
 
 Value Interpreter::call_definition(const Definition& def, const Expr& expr, const EnvPtr& frame) {
+  const Expr& form = *def.form;
+  const ProcedureScope& scope = *form.scope;
   const std::size_t argc = expr.elements.size() - 1;
-  if (argc != def.formals.size()) {
-    fail(expr, "'" + def.name + "' expects " + std::to_string(def.formals.size()) +
+  if (argc != scope.formals.size()) {
+    fail(expr, "'" + form.elements[1].text + "' expects " + std::to_string(scope.formals.size()) +
                    " argument(s), got " + std::to_string(argc));
   }
   if (depth_ >= kMaxDepth) fail(expr, "call depth limit exceeded (runaway recursion?)");
 
-  // Size the frame from the formal+local count, as §4.5 prescribes.
-  auto callee = std::make_shared<Environment>(def.formals.size() + def.locals.size());
-  for (std::size_t i = 0; i < def.formals.size(); ++i) {
-    callee->set(def.formals[i], eval(expr.elements[i + 1], frame));
+  // A flat frame laid out at compile time: formals, locals, then the names
+  // the body binds (§4.5 sizes frames from the formal+local count).
+  auto callee = std::make_shared<Environment>(symbols_ref(), &scope);
+  for (std::size_t i = 0; i < scope.formals.size(); ++i) {
+    callee->set_slot(scope.formals[i], eval(expr.elements[i + 1], frame));
   }
-  for (const std::string& local : def.locals) callee->set(local, Value::nil());
+  for (const std::uint32_t local : scope.locals) callee->set_slot(local, Value::nil());
 
   ++stats_.frames_created;
   ++stats_.procedure_calls;
@@ -177,7 +251,9 @@ Value Interpreter::call_definition(const Definition& def, const Expr& expr, cons
   stats_.max_call_depth = std::max(stats_.max_call_depth, depth_);
   Value last;
   try {
-    last = eval_body(def.body, 0, callee);
+    for (std::size_t i = scope.body_start; i < form.elements.size(); ++i) {
+      last = eval(form.elements[i], callee);
+    }
   } catch (...) {
     --depth_;
     throw;
@@ -187,13 +263,6 @@ Value Interpreter::call_definition(const Definition& def, const Expr& expr, cons
   // Functions return their last value; macros return their evaluation
   // environment so callers can pick results with subcell (§4.2).
   return def.is_macro ? Value::environment(std::move(callee)) : last;
-}
-
-Value Interpreter::eval_body(const std::vector<Expr>& body, std::size_t first,
-                             const EnvPtr& frame) {
-  Value last;
-  for (std::size_t i = first; i < body.size(); ++i) last = eval(body[i], frame);
-  return last;
 }
 
 // ---------------------------------------------------------------------------
@@ -206,48 +275,41 @@ void Interpreter::define_procedure(const Expr& expr, bool is_macro) {
   }
   const Expr& name_expr = expr.elements[1];
   if (!name_expr.is_simple_var()) fail(name_expr, "procedure name must be a plain name");
-
-  Definition def;
-  def.name = name_expr.text;
-  def.is_macro = is_macro;
+  const std::string& name = name_expr.text;
 
   // §4.2: the interpreter must classify calls ahead of time, so macro names
   // must begin with 'm' and function names must not.
-  if (is_macro && (def.name.empty() || def.name.front() != 'm')) {
-    fail(name_expr, "macro name '" + def.name + "' must begin with 'm'");
+  if (is_macro && (name.empty() || name.front() != 'm')) {
+    fail(name_expr, "macro name '" + name + "' must begin with 'm'");
   }
-  if (!is_macro && !def.name.empty() && def.name.front() == 'm') {
-    fail(name_expr, "function name '" + def.name +
-                        "' must not begin with 'm' (reserved for macros)");
+  if (!is_macro && !name.empty() && name.front() == 'm') {
+    fail(name_expr, "function name '" + name + "' must not begin with 'm' (reserved for macros)");
   }
-  if (handlers_.contains(def.name)) {
-    fail(name_expr, "'" + def.name + "' is a built-in and cannot be redefined");
+  if (find_builtin(name) != 0) {
+    fail(name_expr, "'" + name + "' is a built-in and cannot be redefined");
   }
 
   const Expr& formals = expr.elements[2];
   if (formals.kind != Expr::Kind::kList) fail(formals, "formals must be a parenthesized list");
   for (const Expr& formal : formals.elements) {
     if (!formal.is_simple_var()) fail(formal, "formal parameter must be a plain name");
-    def.formals.push_back(formal.text);
   }
-
-  std::size_t body_start = 3;
-  if (body_start < expr.elements.size()) {
-    const Expr& maybe_locals = expr.elements[body_start];
+  if (expr.elements.size() > 3) {
+    const Expr& maybe_locals = expr.elements[3];
     if (maybe_locals.kind == Expr::Kind::kList && !maybe_locals.elements.empty() &&
         maybe_locals.elements.front().is_var("locals")) {
       for (std::size_t i = 1; i < maybe_locals.elements.size(); ++i) {
-        const Expr& local = maybe_locals.elements[i];
-        if (!local.is_simple_var()) fail(local, "local must be a plain name");
-        def.locals.push_back(local.text);
+        if (!maybe_locals.elements[i].is_simple_var()) {
+          fail(maybe_locals.elements[i], "local must be a plain name");
+        }
       }
-      ++body_start;
     }
   }
-  def.body.assign(expr.elements.begin() + static_cast<std::ptrdiff_t>(body_start),
-                  expr.elements.end());
+  // Compilation lays out exactly the forms that pass the checks above.
+  if (expr.scope == nullptr) fail(expr, "internal error: definition was not compiled");
 
-  definitions_[def.name] = std::move(def);
+  if (name_expr.symbol >= definitions_.size()) definitions_.resize(names_->symbols.size());
+  definitions_[name_expr.symbol] = Definition{&expr, is_macro};
 }
 
 Value Interpreter::sf_defun(const Expr& expr, const EnvPtr&) {
@@ -287,13 +349,14 @@ Value Interpreter::sf_do(const Expr& expr, const EnvPtr& frame) {
   const Expr& spec = expr.elements[1];
   const Expr& var = spec.elements[0];
   if (!var.is_simple_var()) fail(var, "do loop variable must be a plain name");
+  const BindingKey key = BindingKey::simple(var.symbol);
 
-  frame->set(var.text, eval(spec.elements[1], frame));
+  frame->set(key, eval(spec.elements[1], frame), var.slot);
   Value last;
   for (;;) {
     if (eval(spec.elements[3], frame).truthy()) break;
     for (std::size_t i = 2; i < expr.elements.size(); ++i) last = eval(expr.elements[i], frame);
-    frame->set(var.text, eval(spec.elements[2], frame));
+    frame->set(key, eval(spec.elements[2], frame), var.slot);
   }
   return last;
 }
@@ -306,9 +369,10 @@ Value Interpreter::sf_prog(const Expr& expr, const EnvPtr& frame) {
 
 Value Interpreter::sf_assign(const Expr& expr, const EnvPtr& frame) {
   check_arity(expr, 2, "assign");
-  const std::string name = binding_name(expr.elements[1], frame);
+  const Expr& target = expr.elements[1];
+  const BindingKey key = binding_key(target, frame);
   Value value = eval(expr.elements[2], frame);
-  assign(name, value, frame);
+  assign(key, target.slot, value, frame);
   return value;
 }
 

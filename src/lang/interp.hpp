@@ -15,10 +15,22 @@
 // interface table, and the connectivity-graph arena. That split mirrors
 // Figure 1.1 — the procedural domain (this interpreter) never touches
 // geometry; it only builds graphs and asks for their expansion.
+//
+// Names are compiled away (§4.5: lookup "must be extremely fast"). The
+// program's compile pass (ast.hpp) interned every name and resolved every
+// list head that names a built-in, so evaluation dispatches by table index
+// and finds bindings by BindingKey (symbols.hpp), never by text. Names first
+// seen at run time — parameter-file names, symbol values, mk_cell strings —
+// are interned in the interpreter's own overlay of the program's table, so
+// a compiled design shared by concurrent sessions never changes. Cell-table
+// hits are remembered per key; misses are not, since a later mk_cell can
+// make the name.
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +38,7 @@
 #include "iface/interface_table.hpp"
 #include "lang/ast.hpp"
 #include "lang/env.hpp"
+#include "lang/symbols.hpp"
 #include "lang/value.hpp"
 #include "layout/cell_table.hpp"
 
@@ -37,13 +50,15 @@ class Interpreter {
               std::ostream* output = nullptr, std::istream* input = nullptr);
 
   // Evaluates each top-level form against the global frame; returns the last
-  // value.
+  // value. The interpreter keeps the program alive (definitions point into
+  // it). The first program run lends the interpreter its symbol table as
+  // the base of the interpreter's own; a program compiled against another
+  // table is recompiled against the interpreter's.
   Value run(const Program& program);
 
-  Value eval(const Expr& expr, const EnvPtr& frame);
-
   const EnvPtr& global() const { return global_; }
-  void set_global(const std::string& name, Value value) { global_->set(name, std::move(value)); }
+  // Binds `name` in the global frame; "x.3" binds the indexed variable x.3.
+  void set_global(const std::string& name, Value value);
 
   CellTable& cells() { return cells_; }
   InterfaceTable& interfaces() { return interfaces_; }
@@ -58,19 +73,25 @@ class Interpreter {
   };
   const Stats& stats() const { return stats_; }
 
+  // The built-in special form or primitive a list head names (its index in
+  // the dispatch table), 0 when none. Program compilation resolves heads
+  // with it, so evaluation never looks a built-in up by name.
+  static std::uint8_t find_builtin(std::string_view name);
+
   // --- helpers shared with builtins.cpp ---------------------------------
 
-  // Full §4.1 resolution of `name`: frame -> global -> cell table, following
+  // Full §4.1 resolution of `key`: frame -> global -> cell table, following
   // symbol values (Figure 4.1's corecell -> basiccell -> cell definition).
-  Value resolve_name(std::string name, const EnvPtr& frame, const Expr& site);
+  // Every hop counts one variable lookup. `slot` is the compile-time slot
+  // hint for the first hop.
+  Value resolve(BindingKey key, std::int32_t slot, const EnvPtr& frame, const Expr& site);
 
-  // Evaluates a kVar's indices in `frame` and returns the mangled binding
-  // name ("l.3").
-  std::string binding_name(const Expr& var, const EnvPtr& frame);
+  // Evaluates a kVar's indices in `frame` and returns its binding key.
+  BindingKey binding_key(const Expr& var, const EnvPtr& frame);
 
-  // Assignment discipline for assign/setq/mk_instance/do: update the local
+  // Assignment discipline for assign/setq/mk_instance: update the local
   // binding if one exists, else an existing global, else create locally.
-  void assign(const std::string& name, Value value, const EnvPtr& frame);
+  void assign(const BindingKey& key, std::int32_t slot, Value value, const EnvPtr& frame);
 
   // Coercions used by graph builtins. `coerce_cell` accepts cell values
   // directly, or strings/symbols naming a cell in the table.
@@ -91,22 +112,41 @@ class Interpreter {
   void set_encoding_table(const EncodingTable* table) { encoding_ = table; }
 
  private:
+  // A defun/macro form as evaluated: the form itself (in a program the
+  // interpreter keeps) and its compiled frame layout. Nothing is copied.
   struct Definition {
-    std::string name;
+    const Expr* form = nullptr;
     bool is_macro = false;
-    std::vector<std::string> formals;
-    std::vector<std::string> locals;
-    std::vector<Expr> body;
+  };
+
+  // Names the interpreter resolves against, and every program whose forms
+  // definitions point into. Frames share it, so a retained macro frame
+  // keeps its layout and names alive after the interpreter is gone.
+  struct Names {
+    SymbolTable symbols;  // overlay over the first program's table
+    std::vector<Program> programs;
   };
 
   using Handler = Value (Interpreter::*)(const Expr&, const EnvPtr&);
+  struct BuiltinEntry {
+    std::string_view name;
+    Handler handler;
+  };
+  static const BuiltinEntry kBuiltins[];  // index 0 is "no built-in"
 
+  // Evaluates a form of a program this interpreter runs.
+  Value eval(const Expr& expr, const EnvPtr& frame);
   Value eval_list(const Expr& expr, const EnvPtr& frame);
-  Value eval_var(const Expr& expr, const EnvPtr& frame);
   Value call_definition(const Definition& def, const Expr& expr, const EnvPtr& frame);
-  Value eval_body(const std::vector<Expr>& body, std::size_t first, const EnvPtr& frame);
 
   void define_procedure(const Expr& expr, bool is_macro);
+  Program adopt(const Program& program);
+  void intern_array_names();
+  std::shared_ptr<const SymbolTable> symbols_ref() const {
+    return std::shared_ptr<const SymbolTable>(names_, &names_->symbols);
+  }
+  BindingKey symbol_target(const Value& symbol, Slot* slot);
+  const Cell* find_cell(const BindingKey& key);
 
   // Special forms and control flow (interp.cpp).
   Value sf_defun(const Expr&, const EnvPtr&);
@@ -150,7 +190,6 @@ class Interpreter {
   Value b_tt_out(const Expr&, const EnvPtr&);
   const EncodingTable& require_encoding(const Expr& site) const;
 
-  void register_handlers();
   [[noreturn]] void fail(const Expr& site, const std::string& message) const;
   void check_arity(const Expr& expr, std::size_t args, const char* name) const;
   std::int64_t eval_int(const Expr& expr, const EnvPtr& frame);
@@ -159,19 +198,24 @@ class Interpreter {
   CellTable& cells_;
   InterfaceTable& interfaces_;
   ConnectivityGraph& graph_;
+  std::shared_ptr<Names> names_;
   EnvPtr global_;
   std::ostream* output_;
   std::istream* input_;
   const EncodingTable* encoding_ = nullptr;
+  bool ran_ = false;  // a program has been evaluated: the symbol base is fixed
 
-  std::unordered_map<std::string, Handler> handlers_;
-  std::unordered_map<std::string, Definition> definitions_;
+  std::vector<Definition> definitions_;  // by symbol id of the name
+  // Positive cell-table hits only: cells are never removed, but a name
+  // that misses now may name a cell a later mk_cell makes.
+  std::vector<const Cell*> simple_cells_;  // by symbol id
+  std::unordered_map<BindingKey, const Cell*, BindingKeyHash> indexed_cells_;
+  SymbolId c_symbol_ = kNoSymbol;  // "c" and "count": the names `array` binds
+  SymbolId count_symbol_ = kNoSymbol;
 
   int depth_ = 0;
   static constexpr int kMaxDepth = 2000;
   Stats stats_;
-
-  friend struct BuiltinRegistrar;
 };
 
 }  // namespace rsg::lang

@@ -11,10 +11,10 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Program parse_program() {
-    Program program;
-    while (peek().kind != Token::Kind::kEnd) program.push_back(parse_form());
-    return program;
+  std::vector<Expr> parse_forms() {
+    std::vector<Expr> forms;
+    while (peek().kind != Token::Kind::kEnd) forms.push_back(parse_form());
+    return forms;
   }
 
   Expr parse_form() {
@@ -132,7 +132,7 @@ class Parser {
 
 Program parse_program(const std::string& source) {
   Parser parser(tokenize(source));
-  return parser.parse_program();
+  return compile_program(parser.parse_forms());
 }
 
 Expr parse_form(const std::string& source) {

@@ -61,6 +61,7 @@ class Cell {
   void add_box(Layer layer, const Box& box) { boxes_.push_back({layer, box}); }
   void add_label(std::string text, Point at) { labels_.push_back({std::move(text), at}); }
   void add_instance(const Cell* cell, Placement placement, std::string name = {});
+  void reserve_instances(std::size_t count) { instances_.reserve(count); }
 
   // Local bounding box over own boxes and (recursively) instance extents.
   // Label points do not contribute. Empty cells return a degenerate box at

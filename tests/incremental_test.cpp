@@ -13,6 +13,7 @@
 
 #include "compact/xy_schedule.hpp"
 #include "layout/flatten.hpp"
+#include "oracles/incremental_faults.hpp"
 #include "oracles/scratch_passes.hpp"
 #include "oracles/synth_design.hpp"
 #include "pla/pla_builder.hpp"
@@ -178,7 +179,7 @@ TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
   inc.check_byte_identity = true;
   IncrementalCompactor engine(CompactionRules::mosis(), {}, inc, field.stretchable);
   // No cached system before the first pass: the hook itself refuses.
-  EXPECT_THROW(engine.corrupt_cached_system_for_testing(false), Error);
+  EXPECT_THROW(IncrementalFaults::corrupt_cached_system(engine, false), Error);
   // Converge each axis first — a pass is not idempotent in general (moved
   // boxes change the visibility partners), and the cached system is only
   // REUSED (the corruption therefore only visible) on an all-clean pass;
@@ -195,7 +196,7 @@ TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
     return boxes;
   };
   const std::vector<LayerBox> x_fix = converge(field.boxes, /*y_axis=*/false);
-  engine.corrupt_cached_system_for_testing(false);
+  IncrementalFaults::corrupt_cached_system(engine, false);
   try {
     engine.compact_x(x_fix);
     FAIL() << "corrupted cache must not pass the byte-identity check";
@@ -205,7 +206,7 @@ TEST(Incremental, CheckByteIdentityThrowsOnCorruptedState) {
   }
   // The y axis has its own cache and its own check.
   const std::vector<LayerBox> y_fix = converge(x_fix, /*y_axis=*/true);
-  engine.corrupt_cached_system_for_testing(true);
+  IncrementalFaults::corrupt_cached_system(engine, true);
   EXPECT_THROW(engine.compact_y(y_fix), IncrementalDivergence);
 }
 

@@ -21,6 +21,17 @@ class ScopingTest : public ::testing::Test {
 
   Value run(const std::string& source) { return interp_.run(parse_program(source)); }
 
+  // The message of the LangError `source` raises, without its location.
+  std::string error_text(const std::string& source) {
+    try {
+      run(source);
+    } catch (const LangError& e) {
+      const std::string what = e.what();
+      return what.substr(what.find(": ") + 2);
+    }
+    return "no error";
+  }
+
   CellTable cells_;
   InterfaceTable interfaces_;
   ConnectivityGraph graph_;
@@ -120,6 +131,79 @@ TEST_F(ScopingTest, MacroEnvironmentOutlivesTheCall) {
   // Force some garbage to churn the interpreter.
   run("(defun f (x) (locals) x) (do (i 0 (+ i 1) (> i 100)) (f i))");
   EXPECT_EQ(env.as_environment()->find("v")->as_integer(), 31);
+}
+
+// --- The §4.1 string boundary ----------------------------------------------
+// Names that arrive as text (parameter-file names, symbol values, mk_cell
+// strings) must name exactly the binding their mangled form names: `x.3` is
+// the indexed variable x.3, `l.03` is a different name altogether.
+
+TEST_F(ScopingTest, ParameterFileIndexedNameIsTheIndexedVariable) {
+  ParameterFile::parse("x.3 = 7\n").apply(interp_);
+  EXPECT_EQ(run("x.3").as_integer(), 7);
+  EXPECT_EQ(run("x.(+ 1 2)").as_integer(), 7);
+  EXPECT_EQ(run("(defun f (i) (locals) x.i) (f 3)").as_integer(), 7);
+  // Design-side assignment updates the same global.
+  run("(setq x.(+ 2 1) 8)");
+  EXPECT_EQ(interp_.global()->find("x.3")->as_integer(), 8);
+}
+
+TEST_F(ScopingTest, SymbolResolvesToAnIndexedBinding) {
+  ParameterFile::parse("alias = l.3\n").apply(interp_);
+  EXPECT_EQ(run("(setq l.3 42) alias").as_integer(), 42);
+  // Inside a procedure the re-resolution tries the frame first.
+  interp_.set_global("palias", Value::symbol("p.2"));
+  EXPECT_EQ(run("(defun h () (locals) (setq p.2 6) palias) (h)").as_integer(), 6);
+}
+
+TEST_F(ScopingTest, LeadingZeroIndexIsADifferentName) {
+  ParameterFile::parse("l.03 = 1\nz = l.03\n").apply(interp_);
+  EXPECT_EQ(error_text("l.3"),
+            "unbound variable 'l.3' (not a parameter, local, or cell name)");
+  run("(setq l.3 2)");
+  EXPECT_EQ(run("l.3").as_integer(), 2);
+  EXPECT_EQ(run("z").as_integer(), 1);
+  EXPECT_EQ(interp_.global()->find("l.03")->as_integer(), 1);
+  EXPECT_EQ(interp_.global()->find("l.3")->as_integer(), 2);
+}
+
+TEST_F(ScopingTest, NegativeIndices) {
+  ParameterFile::parse("l.-1 = 9\nn = l.-2\n").apply(interp_);
+  EXPECT_EQ(run("l.-1").as_integer(), 9);
+  EXPECT_EQ(run("l.(- 1 2)").as_integer(), 9);
+  run("(setq l.(- 0 2) 11)");
+  EXPECT_EQ(run("n").as_integer(), 11);
+  EXPECT_EQ(run("(setq q.-1.-2 3) q.(- 1).(- 2)").as_integer(), 3);
+  EXPECT_EQ(interp_.global()->find("q.-1.-2")->as_integer(), 3);
+}
+
+TEST_F(ScopingTest, UnboundIndexedNameFallsThroughToAMadeCell) {
+  interfaces_.declare("basiccell", "basiccell", 1, Interface{{10, 0}, Orientation::kNorth});
+  EXPECT_EQ(error_text("c.3"),
+            "unbound variable 'c.3' (not a parameter, local, or cell name)");
+  run("(mk_instance n basiccell) (mk_cell \"c.3\" n)");
+  const Value direct = run("c.3");
+  ASSERT_TRUE(direct.is_cell());
+  EXPECT_EQ(direct.as_cell()->name(), "c.3");
+  const Value computed = run("(defun f (i) (locals) c.i) (f 3)");
+  ASSERT_TRUE(computed.is_cell());
+  EXPECT_EQ(computed.as_cell(), direct.as_cell());
+  // A binding made later shadows the cell again (frame and global win).
+  EXPECT_EQ(run("(setq c.3 4) c.3").as_integer(), 4);
+}
+
+TEST_F(ScopingTest, ErrorMessagesAreUnchanged) {
+  EXPECT_EQ(error_text("(defun f (i) (locals) w.i.(+ i 1)) (f 2)"),
+            "unbound variable 'w.2.3' (not a parameter, local, or cell name)");
+  EXPECT_EQ(error_text("(macro mk (v) (locals)) (subcell (mk 1) w.2)"),
+            "subcell: no variable 'w.2' in the given environment");
+  interp_.set_global("a", Value::symbol("b"));
+  interp_.set_global("b", Value::symbol("a"));
+  EXPECT_EQ(error_text("a"), "symbol indirection cycle while resolving 'a'");
+  interp_.set_global("s", Value::symbol("t.1"));
+  interp_.set_global("t.1", Value::symbol("s"));
+  EXPECT_EQ(error_text("t.1"),
+            "symbol indirection cycle while resolving 't.1'");
 }
 
 }  // namespace

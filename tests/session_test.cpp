@@ -185,6 +185,84 @@ TEST(GenerationSession, ConcurrentMixedSessionsAreByteIdentical) {
   }
 }
 
+TEST(GenerationSession, ConcurrentRunTimeNamesStayInTheirSession) {
+  // Every parameter file below names things the design has never seen: a
+  // symbol chain through fresh names (one of them indexed), a fresh cell
+  // alias, and a fresh mk_cell string that a later symbol resolves to. Those
+  // names are interned per session, so 8 threads over one compiled design
+  // must reproduce their single-threaded bytes and leave the design's own
+  // symbol table as compiled.
+  const std::string sample =
+      "cell tile\n"
+      "  box poly 0 0 4 12\n"
+      "  box diff 0 4 12 8\n"
+      "end\n"
+      "\n"
+      "assembly\n"
+      "  inst t1 tile 0 0 N\n"
+      "  inst t2 tile 10 0 N\n"
+      "  inst t3 tile 0 14 N\n"
+      "  label 1 from t1 to t2\n"
+      "  label 2 from t1 to t3\n"
+      "end\n";
+  const std::string design =
+      "(macro mfield (rows cols)\n"
+      "  (do (i 1 (+ i 1) (> i rows))\n"
+      "      (do (j 1 (+ j 1) (> j cols))\n"
+      "          (mk_instance t.i.j corecell)\n"
+      "          (cond ((> j 1) (connect t.i.(- j 1) t.i.j 1)))\n"
+      "          (cond ((> i 1) (connect t.(- i 1).j t.i.j 2))))))\n"
+      "(assign f (mfield rows cols))\n"
+      "(mk_cell fieldname (subcell f t.1.1))\n"
+      "(mk_instance w made)\n"
+      "(mk_cell \"wrapper\" w)\n";
+  constexpr int kThreads = 8;
+  std::vector<std::string> param_files;
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string id = std::to_string(t);
+    param_files.push_back("rows = rows_" + id + "\nrows_" + id + " = " +
+                          std::to_string(1 + t % 3) + "\ncols = width_" + id + "." + id +
+                          "\nwidth_" + id + "." + id + " = " + std::to_string(2 + t % 4) +
+                          "\ncorecell = via_" + id + "\nvia_" + id + " = tile\n" +
+                          "fieldname = \"field_" + id + "\"\nmade = field_" + id + "\n");
+  }
+
+  auto compiled = CompiledDesign::compile(sample, design);
+  const std::size_t design_symbols = compiled->program().symbols()->size();
+  const auto generate = [&compiled](const std::string& params) {
+    GenerationSession session(compiled);
+    return session.generate(params).output;
+  };
+  std::vector<std::string> reference;
+  for (const std::string& params : param_files) reference.push_back(generate(params));
+  EXPECT_NE(reference[0].find("field_0"), std::string::npos);
+  EXPECT_EQ(compiled->program().symbols()->size(), design_symbols);
+
+  constexpr int kRunsPerThread = 3;
+  std::vector<std::vector<std::string>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        const std::size_t file = static_cast<std::size_t>(t + r) % param_files.size();
+        outputs[static_cast<std::size_t>(t)].push_back(generate(param_files[file]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRunsPerThread; ++r) {
+      const std::size_t file = static_cast<std::size_t>(t + r) % param_files.size();
+      EXPECT_EQ(outputs[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)],
+                reference[file])
+          << "parameter file " << file << " diverged on thread " << t << " run " << r;
+    }
+  }
+  EXPECT_EQ(compiled->program().symbols()->size(), design_symbols);
+}
+
 TEST(GenerationSession, OverlayLeavesBaseUntouched) {
   auto compiled = CompiledDesign::compile(read_text_file(designs_path("mult.sample")),
                                           read_text_file(designs_path("mult.rsg")));

@@ -21,6 +21,7 @@ set(moved_names
   compact_flat_xy
   compact_flat_y
   ConstraintSystemBuilder
+  corrupt_cached_system_for_testing
 )
 
 set(violations "")
