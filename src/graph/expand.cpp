@@ -13,7 +13,7 @@ namespace {
 // tail is the reference instance — the one deskewed to North, at whose point
 // of call the interface vector begins.
 Placement derive_placement(const GraphNode& from, const GraphNode::Edge& edge,
-                           const InterfaceTable& interfaces) {
+                           InterfaceCache& interfaces) {
   const GraphNode& to = *edge.other;
   if (edge.outgoing) {
     // Edge from -> to: `from` is the reference instance of I.
@@ -28,7 +28,7 @@ Placement derive_placement(const GraphNode& from, const GraphNode::Edge& edge,
 }  // namespace
 
 Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
-                     const InterfaceTable& interfaces, CellTable& cells, ExpandStats* stats) {
+                     InterfaceCache& interfaces, CellTable& cells, ExpandStats* stats) {
   (void)graph;
   if (root == nullptr) throw LayoutError("mk_cell: null root node");
   if (root->expanded()) {
@@ -36,7 +36,7 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
                       root->owner->name() + "'");
   }
 
-  const std::size_t lookups_before = interfaces.lookups();
+  const std::size_t lookups_before = interfaces.table().lookups();
 
   // The root is arbitrarily placed and oriented; every layout in the graph's
   // equivalence class is identical modulo an isometry (§3.4), and this picks
@@ -89,9 +89,15 @@ Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::strin
     // tree edges place a node once and verify once, so half of the non-tree
     // checks are redundancy verifications.
     stats->redundant_edges_checked = redundant;
-    stats->interface_lookups = interfaces.lookups() - lookups_before;
+    stats->interface_lookups = interfaces.table().lookups() - lookups_before;
   }
   return cell;
+}
+
+Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
+                     const InterfaceTable& interfaces, CellTable& cells, ExpandStats* stats) {
+  InterfaceCache cache(interfaces);
+  return expand_to_cell(graph, root, cell_name, cache, cells, stats);
 }
 
 }  // namespace rsg

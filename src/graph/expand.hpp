@@ -29,7 +29,12 @@ struct ExpandStats {
 // cell named `cell_name` in `cells`. Every node in the component must be
 // unexpanded; after the call each node carries its placement and owner.
 // Instances are added in node-creation order, so output is deterministic and
-// independent of edge insertion order.
+// independent of edge insertion order. Interfaces are looked up by cell
+// identity through `interfaces`, whose owner keeps the cells alive.
+Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
+                     InterfaceCache& interfaces, CellTable& cells, ExpandStats* stats = nullptr);
+
+// The same expansion with a cache that lives for this one call.
 Cell& expand_to_cell(ConnectivityGraph& graph, GraphNode* root, const std::string& cell_name,
                      const InterfaceTable& interfaces, CellTable& cells,
                      ExpandStats* stats = nullptr);

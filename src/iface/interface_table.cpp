@@ -55,14 +55,14 @@ const Interface& InterfaceTable::get(const std::string& cell_a, const std::strin
   return *found;
 }
 
-const Interface& InterfaceTable::get(const Cell& a, const Cell& b, int index) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  const CellKey key{&a, &b, index};
-  auto it = by_cell_.find(key);
-  if (it != by_cell_.end()) return *it->second;
-  const Interface* found = lookup_nocount(Key{a.name(), b.name(), index});
-  if (found == nullptr) missing(a.name(), b.name(), index);
-  by_cell_.emplace(key, found);
+const Interface& InterfaceCache::get(const Cell& a, const Cell& b, int index) {
+  table_->lookups_.fetch_add(1, std::memory_order_relaxed);
+  const Key key{&a, &b, index};
+  auto it = hits_.find(key);
+  if (it != hits_.end()) return *it->second;
+  const Interface* found = table_->lookup_nocount(InterfaceTable::Key{a.name(), b.name(), index});
+  if (found == nullptr) InterfaceTable::missing(a.name(), b.name(), index);
+  hits_.emplace(key, found);
   return *found;
 }
 

@@ -13,11 +13,8 @@
 // Hash-table backed: the expander does one table access per graph node, so
 // "it is imperative that interface lookup be fast" (§4.5) — see
 // bench_interface_table. The expander and declare_interface ask by cell
-// identity: get(const Cell&, const Cell&, index) remembers each hit under
-// the two cells' addresses and returns a reference into the table, so a
-// repeated triple hashes two pointers instead of two names and copies
-// nothing. The name-keyed API serves declarations, indices() and callers
-// that only hold names.
+// identity through an InterfaceCache (below), which its owner keeps beside
+// the cells it names; the table itself stays a name table.
 //
 // Like CellTable, a table may be an OVERLAY on an immutable base (the
 // compile-once/run-many split): lookups check the overlay then fall through
@@ -25,10 +22,7 @@
 // through an uncounted path that never writes the base — even its lookup
 // counter — so concurrent overlays can share one base without a data race.
 // The per-table counter is atomic anyway, because read-only compaction
-// paths take `const InterfaceTable&` and may run on several threads. The
-// identity cache is not: like declare(), identity lookups belong to the one
-// thread that owns the table (a session's overlay), and a base is never
-// asked by identity through its overlays.
+// paths take `const InterfaceTable&` and may run on several threads.
 #pragma once
 
 #include <atomic>
@@ -51,8 +45,6 @@ class InterfaceTable {
   // and must not change while overlays exist.
   explicit InterfaceTable(const InterfaceTable* base) : base_(base) {}
 
-  // Copies and moves start with an empty identity cache: its entries point
-  // into the source's storage.
   InterfaceTable(const InterfaceTable& other)
       : base_(other.base_),
         table_(other.table_),
@@ -61,7 +53,6 @@ class InterfaceTable {
     if (this != &other) {
       base_ = other.base_;
       table_ = other.table_;
-      by_cell_.clear();
       lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     }
     return *this;
@@ -74,7 +65,6 @@ class InterfaceTable {
     if (this != &other) {
       base_ = other.base_;
       table_ = std::move(other.table_);
-      by_cell_.clear();
       lookups_.store(other.lookups_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     }
     return *this;
@@ -93,13 +83,6 @@ class InterfaceTable {
 
   // Throws LayoutError with a diagnostic naming the missing triple.
   const Interface& get(const std::string& cell_a, const std::string& cell_b, int index) const;
-
-  // The same lookup keyed by cell identity (the expander's path): `a` and
-  // `b` are named by their cells, and each hit is remembered under the
-  // cells' addresses — so the cells must outlive this table's use of them,
-  // as cell tables guarantee by never removing a cell. Counts one lookup
-  // per call, cached or not.
-  const Interface& get(const Cell& a, const Cell& b, int index) const;
 
   bool contains(const std::string& cell_a, const std::string& cell_b, int index) const {
     return find(cell_a, cell_b, index).has_value();
@@ -137,14 +120,47 @@ class InterfaceTable {
     }
   };
 
-  struct CellKey {
+  // Overlay-then-base resolution with no counter update anywhere — the
+  // path through which a shared base is always queried.
+  const Interface* lookup_nocount(const Key& key) const;
+  friend class InterfaceCache;
+
+  [[noreturn]] static void missing(const std::string& cell_a, const std::string& cell_b,
+                                   int index);
+
+  const InterfaceTable* base_ = nullptr;
+  std::unordered_map<Key, Interface, KeyHash> table_;
+  mutable std::atomic<std::size_t> lookups_{0};
+};
+
+// Lookups into one InterfaceTable keyed by cell identity: the expander's and
+// declare_interface's path. Each hit is remembered under the two cells'
+// addresses, so a repeated triple hashes two pointers instead of two names
+// and copies nothing. The cache holds addresses, so whoever owns it must
+// also keep the cells alive for as long as it is used (an interpreter over
+// its cell table, or one expansion). It is not thread-safe; the table it
+// reads stays safe to share. Every call counts one lookup on the table,
+// cached or not.
+class InterfaceCache {
+ public:
+  // `table` must outlive the cache. Declarations added to it later are
+  // seen; existing entries never change, so remembered hits stay valid.
+  explicit InterfaceCache(const InterfaceTable& table) : table_(&table) {}
+
+  // Throws LayoutError, like InterfaceTable::get, when the triple is missing.
+  const Interface& get(const Cell& a, const Cell& b, int index);
+
+  const InterfaceTable& table() const { return *table_; }
+
+ private:
+  struct Key {
     const Cell* a;
     const Cell* b;
     int index;
-    bool operator==(const CellKey&) const = default;
+    bool operator==(const Key&) const = default;
   };
-  struct CellKeyHash {
-    std::size_t operator()(const CellKey& k) const {
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
       const auto pa = reinterpret_cast<std::uintptr_t>(k.a);
       const auto pb = reinterpret_cast<std::uintptr_t>(k.b);
       std::uint64_t h = (pa ^ (pb * 0x9E3779B97F4A7C15ull)) + static_cast<std::uint64_t>(k.index);
@@ -154,18 +170,10 @@ class InterfaceTable {
     }
   };
 
-  // Overlay-then-base resolution with no counter update anywhere — the
-  // path through which a shared base is always queried.
-  const Interface* lookup_nocount(const Key& key) const;
-  [[noreturn]] static void missing(const std::string& cell_a, const std::string& cell_b,
-                                   int index);
-
-  const InterfaceTable* base_ = nullptr;
-  std::unordered_map<Key, Interface, KeyHash> table_;
-  // Identity lookups seen so far, pointing into table_ or a base's (map
-  // nodes never move, and entries are never erased or changed).
-  mutable std::unordered_map<CellKey, const Interface*, CellKeyHash> by_cell_;
-  mutable std::atomic<std::size_t> lookups_{0};
+  const InterfaceTable* table_;
+  // Hits so far, pointing into the table or its base (map nodes never move,
+  // and entries are never erased or changed).
+  std::unordered_map<Key, const Interface*, KeyHash> hits_;
 };
 
 }  // namespace rsg

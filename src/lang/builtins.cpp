@@ -186,7 +186,7 @@ Value Interpreter::b_mk_cell(const Expr& expr, const EnvPtr& frame) {
   check_arity(expr, 2, "mk_cell");
   const std::string name = coerce_name(eval(expr.elements[1], frame), expr.elements[1]);
   GraphNode* root = eval_node(expr.elements[2], frame);
-  Cell& cell = expand_to_cell(graph_, root, name, interfaces_, cells_);
+  Cell& cell = expand_to_cell(graph_, root, name, interface_cache_, cells_);
   ++stats_.cells_made;
   return Value::cell(&cell);
 }
@@ -235,7 +235,7 @@ Value Interpreter::b_declare_interface(const Expr& expr, const EnvPtr& frame) {
   }
 
   const Interface& i_ab =
-      interfaces_.get(*node_a->cell, *node_b->cell, static_cast<int>(existing_index));
+      interface_cache_.get(*node_a->cell, *node_b->cell, static_cast<int>(existing_index));
   const Interface i_cd = inherit_interface(*node_a->placement, *node_b->placement, i_ab);
   interfaces_.declare(cell_c->name(), cell_d->name(), static_cast<int>(new_index), i_cd);
   return Value::nil();

@@ -12,6 +12,7 @@ Interpreter::Interpreter(CellTable& cells, InterfaceTable& interfaces, Connectiv
                          std::ostream* output, std::istream* input)
     : cells_(cells),
       interfaces_(interfaces),
+      interface_cache_(interfaces),
       graph_(graph),
       names_(std::make_shared<Names>()),
       global_(Environment::global(symbols_ref())),
@@ -46,15 +47,8 @@ void Interpreter::check_arity(const Expr& expr, std::size_t args, const char* na
 Program Interpreter::adopt(const Program& program) {
   Names& names = *names_;
   const SymbolTable* table = program.symbols();
-  const auto kept = [&](const Program& p) {
-    for (const Program& other : names.programs) {
-      if (other.begin() == p.begin()) return p;
-    }
-    names.programs.push_back(p);
-    return p;
-  };
   if (table == nullptr || table == &names.symbols || table == names.symbols.base()) {
-    return table == nullptr ? program : kept(program);
+    return program;
   }
   if (!ran_ && names.symbols.base() == nullptr) {
     // Nothing has been evaluated yet, so only the global frame holds
@@ -68,20 +62,39 @@ Program Interpreter::adopt(const Program& program) {
     global_ = Environment::global(symbols_ref());
     for (auto& [name, value] : carried) set_global(name, std::move(value));
     intern_array_names();
-    return kept(program);
+    keep(program);  // it owns the table ours now overlays
+    return program;
   }
   // Compiled against another table: recompile a copy against ours. The
   // copy's table pointer does not own the interpreter's names (they own it).
   std::vector<Expr> forms(program.begin(), program.end());
-  return kept(compile_program(
-      std::move(forms), std::shared_ptr<SymbolTable>(std::shared_ptr<void>(), &names.symbols)));
+  return compile_program(
+      std::move(forms), std::shared_ptr<SymbolTable>(std::shared_ptr<void>(), &names.symbols));
+}
+
+void Interpreter::keep(const Program& program) {
+  std::vector<Program>& programs = names_->programs;
+  for (const Program& other : programs) {
+    if (other.begin() == program.begin()) return;
+  }
+  programs.push_back(program);
 }
 
 Value Interpreter::run(const Program& program) {
   const Program compiled = adopt(program);
   ran_ = true;
+  // Definitions point into the forms of the program that made them (and
+  // retained macro frames into their layouts), so such a program lives as
+  // long as the interpreter's names; one that defined nothing is let go.
+  const std::size_t defined_before = definitions_made_;
   Value last;
-  for (const Expr& form : compiled) last = eval(form, global_);
+  try {
+    for (const Expr& form : compiled) last = eval(form, global_);
+  } catch (...) {
+    if (definitions_made_ != defined_before) keep(compiled);
+    throw;
+  }
+  if (definitions_made_ != defined_before) keep(compiled);
   return last;
 }
 
@@ -310,6 +323,7 @@ void Interpreter::define_procedure(const Expr& expr, bool is_macro) {
 
   if (name_expr.symbol >= definitions_.size()) definitions_.resize(names_->symbols.size());
   definitions_[name_expr.symbol] = Definition{&expr, is_macro};
+  ++definitions_made_;
 }
 
 Value Interpreter::sf_defun(const Expr& expr, const EnvPtr&) {

@@ -50,10 +50,13 @@ class Interpreter {
               std::ostream* output = nullptr, std::istream* input = nullptr);
 
   // Evaluates each top-level form against the global frame; returns the last
-  // value. The interpreter keeps the program alive (definitions point into
-  // it). The first program run lends the interpreter its symbol table as
-  // the base of the interpreter's own; a program compiled against another
-  // table is recompiled against the interpreter's.
+  // value. A program that defines a procedure is kept alive with the
+  // interpreter (definitions point into it), and so is the first one, whose
+  // table the interpreter's overlays; any other is not retained. The first
+  // program run lends the interpreter its symbol
+  // table as the base of the interpreter's own; a program compiled against
+  // another table is recompiled (deep-copied) against the interpreter's, so
+  // a caller running many programs should parse them against one table.
   Value run(const Program& program);
 
   const EnvPtr& global() const { return global_; }
@@ -119,8 +122,9 @@ class Interpreter {
     bool is_macro = false;
   };
 
-  // Names the interpreter resolves against, and every program whose forms
-  // definitions point into. Frames share it, so a retained macro frame
+  // Names the interpreter resolves against, and the programs they need: the
+  // one whose table `symbols` overlays and every one a definition was made
+  // from. Frames share it, so a retained macro frame
   // keeps its layout and names alive after the interpreter is gone.
   struct Names {
     SymbolTable symbols;  // overlay over the first program's table
@@ -141,6 +145,7 @@ class Interpreter {
 
   void define_procedure(const Expr& expr, bool is_macro);
   Program adopt(const Program& program);
+  void keep(const Program& program);
   void intern_array_names();
   std::shared_ptr<const SymbolTable> symbols_ref() const {
     return std::shared_ptr<const SymbolTable>(names_, &names_->symbols);
@@ -197,6 +202,9 @@ class Interpreter {
 
   CellTable& cells_;
   InterfaceTable& interfaces_;
+  // Identity lookups for mk_cell and declare_interface: the cells it names
+  // live in cells_ (or its base), which outlives the interpreter.
+  InterfaceCache interface_cache_;
   ConnectivityGraph& graph_;
   std::shared_ptr<Names> names_;
   EnvPtr global_;
@@ -206,6 +214,7 @@ class Interpreter {
   bool ran_ = false;  // a program has been evaluated: the symbol base is fixed
 
   std::vector<Definition> definitions_;  // by symbol id of the name
+  std::size_t definitions_made_ = 0;     // defun/macro forms evaluated so far
   // Positive cell-table hits only: cells are never removed, but a name
   // that misses now may name a cell a later mk_cell makes.
   std::vector<const Cell*> simple_cells_;  // by symbol id

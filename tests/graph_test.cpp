@@ -144,8 +144,6 @@ TEST_F(GraphTest, LayoutIsIndependentOfTraversalRoot) {
   // §3.4: each connectivity graph maps to an equivalence class of layouts
   // identical modulo an isometry. Expanding the same graph from different
   // roots must produce identical geometry once both are rebased.
-  interfaces_.declare("a", "b", 1, Interface{{12, 0}, Orientation::kEast});
-  interfaces_.declare("b", "c", 2, Interface{{0, -12}, Orientation::kMirrorNorth});
 
   auto build = [&](CellTable& cells, InterfaceTable& table, int root_index) {
     ConnectivityGraph g;
@@ -163,11 +161,15 @@ TEST_F(GraphTest, LayoutIsIndependentOfTraversalRoot) {
 
   std::optional<Interface> reference;
   for (int root = 0; root < 3; ++root) {
+    // Each pass gets its own cells and tables, which die together.
     CellTable cells;
     for (const char* name : {"a", "b", "c", "d"}) {
       cells.create(name).add_box(Layer::kMetal1, Box(0, 0, 10, 10));
     }
-    const Interface rel = build(cells, interfaces_, root);
+    InterfaceTable table;
+    table.declare("a", "b", 1, Interface{{12, 0}, Orientation::kEast});
+    table.declare("b", "c", 2, Interface{{0, -12}, Orientation::kMirrorNorth});
+    const Interface rel = build(cells, table, root);
     if (!reference) {
       reference = rel;
     } else {

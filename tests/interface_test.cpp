@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "iface/interface_table.hpp"
+#include "layout/cell_table.hpp"
 #include "support/error.hpp"
 
 namespace rsg {
@@ -180,6 +181,28 @@ TEST(InterfaceTable, CountsLookups) {
   (void)table.find("a", "b", 1);
   (void)table.find("a", "b", 2);
   EXPECT_EQ(table.lookups(), 2u);
+}
+
+TEST(InterfaceCache, LooksUpByCellIdentityAndCountsOnTheTable) {
+  CellTable cells;
+  const Cell& a = cells.create("a");
+  const Cell& b = cells.create("b");
+  InterfaceTable table;
+  const Interface i_ab{{44, 0}, Orientation::kEast};
+  table.declare("a", "b", 1, i_ab);
+  table.reset_lookup_count();
+
+  InterfaceCache cache(table);
+  EXPECT_EQ(cache.get(a, b, 1), i_ab);
+  EXPECT_EQ(cache.get(b, a, 1), i_ab.inverse());
+  EXPECT_EQ(cache.get(a, b, 1), i_ab);  // remembered hit
+  EXPECT_EQ(table.lookups(), 3u);       // every ask counts, cached or not
+
+  // A miss is not remembered: a later declaration is seen.
+  EXPECT_THROW((void)cache.get(a, b, 2), LayoutError);
+  const Interface i_ab2{{0, 30}, Orientation::kNorth};
+  table.declare("a", "b", 2, i_ab2);
+  EXPECT_EQ(cache.get(a, b, 2), i_ab2);
 }
 
 }  // namespace
