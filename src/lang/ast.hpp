@@ -37,6 +37,9 @@ struct Expr {
   };
 
   Kind kind = Kind::kNumber;
+  // Set when the program compiles, like the fields at the end; kept here,
+  // where it fills the padding after `kind`.
+  SymbolId symbol = kNoSymbol;  // kVar: the interned base name
   std::int64_t number = 0;
   std::string text;            // kString: contents; kVar: base name
   std::vector<Expr> indices;   // kVar: 0..2 index expressions
@@ -46,7 +49,6 @@ struct Expr {
   int column = 0;
 
   // Set when the program compiles.
-  SymbolId symbol = kNoSymbol;  // kVar: the interned base name
   std::int32_t slot = -1;       // simple kVar inside a definition: its frame slot
   std::uint8_t builtin = 0;     // kList: built-in named by the head, 0 = none
   const ProcedureScope* scope = nullptr;  // well-formed defun/macro form

@@ -42,9 +42,8 @@ Environment::Found Environment::find_binding(const BindingKey& key, std::int32_t
     // The dense global frame only grows slots; a simple name is never an entry there.
     if (dense_) return {};
   }
-  if (entries_.empty()) return {};
-  auto it = entries_.find(key);
-  return it != entries_.end() ? Found{&it->second, nullptr} : Found{};
+  Entry* entry = find_entry(key);
+  return entry != nullptr ? Found{&entry->value, nullptr} : Found{};
 }
 
 const Value* Environment::find(const std::string& name) const {
@@ -63,10 +62,47 @@ void Environment::set(const BindingKey& key, Value value, std::int32_t slot) {
       return;
     }
   }
-  entries_.insert_or_assign(key, std::move(value));
+  if (Entry* entry = find_entry(key)) {
+    entry->value = std::move(value);
+    return;
+  }
+  if ((entries_.size() + 1) * 2 > index_.size()) grow();
+  const auto position = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back({key, std::move(value)});
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = BindingKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+    if (index_[i] == kEmpty) {
+      index_[i] = position;
+      return;
+    }
+  }
 }
 
-void Environment::reserve(std::size_t bindings) { entries_.reserve(bindings); }
+Environment::Entry* Environment::find_entry(const BindingKey& key) {
+  if (entries_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = BindingKeyHash{}(key) & mask;; i = (i + 1) & mask) {
+    const std::uint32_t position = index_[i];
+    if (position == kEmpty) return nullptr;
+    if (entries_[position].key == key) return &entries_[position];
+  }
+}
+
+void Environment::reserve(std::size_t bindings) {
+  entries_.reserve(bindings);
+  while (bindings * 2 > index_.size()) grow();
+}
+
+void Environment::grow() {
+  const std::size_t capacity = index_.empty() ? 8 : index_.size() * 2;
+  index_.assign(capacity, kEmpty);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t position = 0; position < entries_.size(); ++position) {
+    std::size_t i = BindingKeyHash{}(entries_[position].key) & mask;
+    while (index_[i] != kEmpty) i = (i + 1) & mask;
+    index_[i] = static_cast<std::uint32_t>(position);
+  }
+}
 
 std::size_t Environment::size() const {
   const auto bound = std::count_if(slots_.begin(), slots_.end(),

@@ -97,7 +97,9 @@ class Resolver {
 
   // Interpreter::find_builtin, asked once per distinct head name.
   std::uint8_t builtin_of(const Expr& head) {
-    if (head.symbol >= builtins_.size()) builtins_.resize(symbols_.size(), kUnknown);
+    if (head.symbol >= builtins_.size()) {
+      builtins_.resize(std::max(symbols_.size(), 2 * builtins_.size()), kUnknown);
+    }
     std::uint8_t& builtin = builtins_[head.symbol];
     if (builtin == kUnknown) builtin = Interpreter::find_builtin(head.text);
     return builtin;

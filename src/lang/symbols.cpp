@@ -11,21 +11,54 @@ void SymbolTable::rebase(const SymbolTable* base) {
   first_ = base != nullptr ? static_cast<SymbolId>(base->size()) : 0;
 }
 
-SymbolId SymbolTable::find(std::string_view name) const {
+std::uint32_t SymbolTable::hash_of(std::string_view name) {
+  std::uint32_t h = 2166136261u;  // FNV-1a: identifiers are short
+  for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 16777619u;
+  return h;
+}
+
+SymbolId SymbolTable::find_hashed(std::string_view name, std::uint32_t hash) const {
   if (base_ != nullptr) {
-    const SymbolId id = base_->find(name);
+    const SymbolId id = base_->find_hashed(name, hash);
     if (id != kNoSymbol) return id;
   }
-  auto it = index_.find(name);
-  return it != index_.end() ? it->second : kNoSymbol;
+  if (index_.empty()) return kNoSymbol;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Entry& e = index_[i];
+    if (e.id == kNoSymbol) return kNoSymbol;
+    if (e.hash == hash && names_[e.id - first_] == name) return e.id;
+  }
+}
+
+SymbolId SymbolTable::find(std::string_view name) const {
+  return find_hashed(name, hash_of(name));
 }
 
 SymbolId SymbolTable::intern(std::string_view name) {
-  const SymbolId found = find(name);
+  const std::uint32_t hash = hash_of(name);
+  const SymbolId found = find_hashed(name, hash);
   if (found != kNoSymbol) return found;
+  if ((names_.size() + 1) * 2 > index_.size()) grow();
   const auto id = static_cast<SymbolId>(size());
-  index_.emplace(names_.emplace_back(name), id);
+  names_.emplace_back(name);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].id != kNoSymbol) i = (i + 1) & mask;
+  index_[i] = Entry{hash, id};
   return id;
+}
+
+void SymbolTable::grow() {
+  std::vector<Entry> old = std::move(index_);
+  index_.assign(old.empty() ? 64 : old.size() * 2, Entry{0, kNoSymbol});
+  const std::size_t mask = index_.size() - 1;
+  for (const Entry& e : old) {
+    if (e.id == kNoSymbol) continue;
+    std::size_t i = e.hash & mask;
+    while (index_[i].id != kNoSymbol) i = (i + 1) & mask;
+    index_[i] = e;
+  }
 }
 
 namespace {
