@@ -51,7 +51,7 @@ SymbolId SymbolTable::intern(std::string_view name) {
 
 void SymbolTable::grow() {
   std::vector<Entry> old = std::move(index_);
-  index_.assign(old.empty() ? 64 : old.size() * 2, Entry{0, kNoSymbol});
+  index_.assign(old.empty() ? 256 : old.size() * 2, Entry{0, kNoSymbol});
   const std::size_t mask = index_.size() - 1;
   for (const Entry& e : old) {
     if (e.id == kNoSymbol) continue;

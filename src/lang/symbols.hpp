@@ -58,7 +58,8 @@ class SymbolTable {
   // (hash, id) pairs, id == kNoSymbol marking a free entry. Compiling a
   // program interns every identifier occurrence, so this stays cheap: a
   // std::unordered_map here made the e2e_bench compile step (setup_s) 8%
-  // slower.
+  // slower. It starts at 256 entries, so the seed designs (25-74 names)
+  // never rehash.
   struct Entry {
     std::uint32_t hash;
     SymbolId id;
